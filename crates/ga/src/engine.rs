@@ -23,7 +23,7 @@ use crate::termination::{Progress, Termination};
 use crate::Evaluator;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Fresh-random-genome constructor.
 pub type InitFn<G> = dyn Fn(&mut ChaCha8Rng) -> G + Send + Sync;
@@ -179,7 +179,7 @@ pub struct Individual<G> {
     pub cost: f64,
 }
 
-/// Snapshot a generational model reports to [`run_anytime`].
+/// Snapshot a [`Generational`] model reports to [`run`].
 #[derive(Debug, Clone, Copy)]
 pub struct AnytimeStatus {
     pub generation: u64,
@@ -211,56 +211,44 @@ pub enum GaPhase {
 /// sees it), which keeps profiled runs bit-identical to bare runs.
 pub type PhaseHook<'h> = dyn Fn(GaPhase, Duration) + Send + Sync + 'h;
 
-/// Drives any generational model until `termination` fires, invoking
-/// `on_best` on the initial best and on every improvement — the one
-/// shared anytime loop behind the parallel models' `run_until_observed`
-/// entry points (wall time is measured from this call; improvement
-/// stagnation is tracked here, per call, from the model's best cost).
-pub fn run_anytime<M, G: Clone>(
-    model: &mut M,
-    termination: &Termination,
-    status: &dyn Fn(&M) -> AnytimeStatus,
-    step: &dyn Fn(&mut M),
-    best: &dyn Fn(&M) -> Individual<G>,
-    on_best: &mut dyn FnMut(&Individual<G>),
-) -> Individual<G> {
-    run_anytime_sampled(
-        model,
-        termination,
-        status,
-        &mut |m, _emit| step(m),
-        best,
-        on_best,
-        &mut |_| {},
-    )
-}
-
-/// The per-generation sample emitter a sampled step function reports
-/// through (see [`run_anytime_sampled`]).
+/// The per-generation sample emitter a [`Generational::step`] reports
+/// through.
 pub type SampleEmit<'a> = dyn FnMut(GenerationSample) + 'a;
 
-/// [`run_anytime`] with a per-generation telemetry stream: `step` is
-/// handed an emitter and may report any number of
-/// [`GenerationSample`]s per generation (one per island for island
-/// models); every emitted sample is forwarded to `on_sample`. The
-/// control flow — termination checks, improvement tracking, `on_best`
-/// cadence — is identical to [`run_anytime`], so a sampled run of a
-/// deterministic model is bit-identical to an unsampled one.
-pub fn run_anytime_sampled<M, G: Clone>(
-    model: &mut M,
+/// A generational search model — the survey's "while termination
+/// criteria are not satisfied: select, breed, evaluate (, migrate)"
+/// body, implemented by the sequential [`Engine`] and the `pga`
+/// island and cellular models, and driven by [`run`].
+pub trait Generational<G> {
+    /// Progress counters and best cost as of the last generation.
+    fn status(&self) -> AnytimeStatus;
+    /// Advances one generation. With an emitter, reports that
+    /// generation's [`GenerationSample`]s (one per island for island
+    /// models); without one, builds no samples. Sampling reads recorded
+    /// state only, so a sampled step is bit-identical to a bare one.
+    fn step(&mut self, emit: Option<&mut SampleEmit<'_>>);
+    /// The best individual found so far.
+    fn best(&self) -> Individual<G>;
+}
+
+/// The generation loop: steps `model` until `termination` fires,
+/// invoking `on_best` on the initial best and on every strict
+/// improvement, and forwarding every per-generation sample to
+/// `on_sample` when given. Within a generation the samples come first,
+/// then the improvement. Wall time and improvement stagnation are
+/// measured per call, from this call's start and the model's best cost.
+pub fn run<G>(
+    model: &mut dyn Generational<G>,
     termination: &Termination,
-    status: &dyn Fn(&M) -> AnytimeStatus,
-    step: &mut dyn FnMut(&mut M, &mut SampleEmit<'_>),
-    best: &dyn Fn(&M) -> Individual<G>,
     on_best: &mut dyn FnMut(&Individual<G>),
-    on_sample: &mut dyn FnMut(GenerationSample),
+    mut on_sample: Option<&mut SampleEmit<'_>>,
 ) -> Individual<G> {
     let started = crate::clock::now();
     let mut since_improvement = 0u64;
-    let mut last_best = status(model).best_cost;
-    on_best(&best(model));
+    let mut last_best = model.status().best_cost;
+    on_best(&model.best());
     loop {
-        let s = status(model);
+        let s = model.status();
         let progress = Progress {
             generation: s.generation,
             evaluations: s.evaluations,
@@ -271,17 +259,17 @@ pub fn run_anytime_sampled<M, G: Clone>(
         if termination.should_stop(&progress) {
             break;
         }
-        step(model, on_sample);
-        let now_best = status(model).best_cost;
+        model.step(on_sample.as_deref_mut());
+        let now_best = model.status().best_cost;
         if now_best < last_best {
             last_best = now_best;
             since_improvement = 0;
-            on_best(&best(model));
+            on_best(&model.best());
         } else {
             since_improvement += 1;
         }
     }
-    best(model)
+    model.best()
 }
 
 /// The engine itself. Create with [`Engine::new`], advance with
@@ -298,7 +286,6 @@ pub struct Engine<'a, G> {
     gens_since_improvement: u64,
     improvements: u64,
     history: History,
-    started: Instant,
     phase_hook: Option<&'a PhaseHook<'a>>,
 }
 
@@ -352,7 +339,6 @@ impl<'a, G: Clone> Engine<'a, G> {
             gens_since_improvement: 0,
             improvements: 0,
             history: History::default(),
-            started: crate::clock::now(),
             phase_hook: None,
         };
         engine.record();
@@ -507,78 +493,16 @@ impl<'a, G: Clone> Engine<'a, G> {
 
     /// Runs until `termination` fires; returns the best individual found.
     pub fn run(&mut self, termination: &Termination) -> Individual<G> {
-        self.run_observed(termination, &mut |_| {})
-    }
-
-    /// Like [`run`](Self::run), but invokes `on_best` every time the
-    /// best-so-far individual improves (including once for the initial
-    /// best before the first generation). This is the anytime hook: a
-    /// caller racing several solvers against a deadline extracts each
-    /// improvement the moment it happens instead of waiting for the run
-    /// to finish.
-    pub fn run_observed(
-        &mut self,
-        termination: &Termination,
-        on_best: &mut dyn FnMut(&Individual<G>),
-    ) -> Individual<G> {
-        self.run_sampled(termination, on_best, &mut |_| {})
-    }
-
-    /// Like [`run_observed`](Self::run_observed), but additionally
-    /// emits one [`GenerationSample`] after every generation — the
-    /// per-generation convergence stream (best/mean cost, diversity,
-    /// stagnation age) that the serve layer forwards to `watch`
-    /// subscribers. Sampling reads state the engine already records
-    /// and never touches the RNG, so a sampled run is bit-identical
-    /// to a plain [`run`](Self::run) with the same seed.
-    pub fn run_sampled(
-        &mut self,
-        termination: &Termination,
-        on_best: &mut dyn FnMut(&Individual<G>),
-        on_sample: &mut dyn FnMut(GenerationSample),
-    ) -> Individual<G> {
-        on_best(&self.best);
-        loop {
-            let progress = Progress {
-                generation: self.generation,
-                evaluations: self.evaluations,
-                elapsed: crate::clock::elapsed_since(self.started),
-                best_cost: self.best.cost,
-                generations_since_improvement: self.gens_since_improvement,
-            };
-            if termination.should_stop(&progress) {
-                break;
-            }
-            let before = self.best.cost;
-            self.step();
-            if self.best.cost < before {
-                on_best(&self.best);
-            }
-            on_sample(self.last_sample());
-        }
-        self.best.clone()
+        run(self, termination, &mut |_| {}, None)
     }
 
     /// The engine's latest generation as a [`GenerationSample`]
     /// (`island: None`, `migration: false` — the island model tags its
     /// engines' samples itself).
     pub fn last_sample(&self) -> GenerationSample {
-        let rec = self.history.records.last().copied().unwrap_or(GenRecord {
-            generation: self.generation,
-            best_cost: self.best.cost,
-            mean_cost: self.best.cost,
-            diversity: 0.0,
-        });
-        GenerationSample {
-            island: None,
-            generation: rec.generation,
-            evaluations: self.evaluations,
-            best_cost: rec.best_cost,
-            mean_cost: rec.mean_cost,
-            diversity: rec.diversity,
-            since_improvement: self.gens_since_improvement,
-            migration: false,
-        }
+        self.history
+            .last_sample(self.evaluations, self.gens_since_improvement)
+            .expect("recorded since construction")
     }
 
     pub fn best(&self) -> &Individual<G> {
@@ -607,32 +531,39 @@ impl<'a, G: Clone> Engine<'a, G> {
         self.evaluations
     }
 
-    /// Generations since the best-so-far last improved (0 right after
-    /// an improvement) — the stagnation age sampled into
-    /// [`GenerationSample::since_improvement`].
-    pub fn gens_since_improvement(&self) -> u64 {
-        self.gens_since_improvement
-    }
-
     /// Strict improvements of the best-so-far since construction (the
     /// initial population's best is the baseline, not an improvement).
-    /// This is the count an anytime observer sees fire via
-    /// [`run_observed`](Self::run_observed), and the basis of the
-    /// serve layer's per-member improvement timelines.
+    /// This is the count an anytime observer sees fire via [`run`], and
+    /// the basis of the serve layer's per-member improvement timelines.
     pub fn improvements(&self) -> u64 {
         self.improvements
-    }
-
-    /// Mutable access to the engine RNG (migration policies draw from the
-    /// same deterministic stream).
-    pub fn rng_mut(&mut self) -> &mut ChaCha8Rng {
-        &mut self.rng
     }
 
     /// The toolkit's optional integer-sequence view (diversity telemetry
     /// and stagnation detection).
     pub fn seq_view(&self) -> Option<&SeqView<G>> {
         self.toolkit.seq_view.as_deref()
+    }
+}
+
+impl<G: Clone> Generational<G> for Engine<'_, G> {
+    fn status(&self) -> AnytimeStatus {
+        AnytimeStatus {
+            generation: self.generation,
+            evaluations: self.evaluations,
+            best_cost: self.best.cost,
+        }
+    }
+
+    fn step(&mut self, emit: Option<&mut SampleEmit<'_>>) {
+        Engine::step(self);
+        if let Some(emit) = emit {
+            emit(self.last_sample());
+        }
+    }
+
+    fn best(&self) -> Individual<G> {
+        self.best.clone()
     }
 }
 
@@ -767,7 +698,7 @@ mod tests {
     }
 
     #[test]
-    fn run_observed_reports_every_improvement() {
+    fn run_reports_every_improvement() {
         let eval = |g: &Vec<usize>| displacement(g);
         let cfg = GaConfig {
             pop_size: 40,
@@ -776,9 +707,12 @@ mod tests {
         };
         let mut e = Engine::new(cfg, perm_toolkit(12), &eval);
         let mut seen: Vec<f64> = Vec::new();
-        let best = e.run_observed(&Termination::Generations(60), &mut |ind| {
-            seen.push(ind.cost);
-        });
+        let best = run(
+            &mut e,
+            &Termination::Generations(60),
+            &mut |ind| seen.push(ind.cost),
+            None,
+        );
         // First report is the initial best, last is the final best, and
         // the sequence is strictly decreasing.
         assert!(seen.len() >= 2, "expected at least one improvement");
@@ -918,7 +852,7 @@ mod tests {
     }
 
     #[test]
-    fn run_sampled_emits_one_sample_per_generation() {
+    fn sampled_run_emits_one_sample_per_generation() {
         let eval = |g: &Vec<usize>| displacement(g);
         let cfg = GaConfig {
             pop_size: 30,
@@ -927,9 +861,12 @@ mod tests {
         };
         let mut e = Engine::new(cfg, perm_toolkit(10), &eval);
         let mut samples: Vec<GenerationSample> = Vec::new();
-        let best = e.run_sampled(&Termination::Generations(25), &mut |_| {}, &mut |s| {
-            samples.push(s)
-        });
+        let best = run(
+            &mut e,
+            &Termination::Generations(25),
+            &mut |_| {},
+            Some(&mut |s| samples.push(s)),
+        );
         assert_eq!(samples.len(), 25);
         for (k, s) in samples.iter().enumerate() {
             assert_eq!(s.generation, k as u64 + 1);
@@ -961,7 +898,7 @@ mod tests {
             ..GaConfig::default()
         };
         let mut bare = Engine::new(cfg.clone(), perm_toolkit(12), &eval);
-        bare.run(&Termination::Generations(20));
+        run(&mut bare, &Termination::Generations(20), &mut |_| {}, None);
 
         let select = AtomicU64::new(0);
         let breed = AtomicU64::new(0);
@@ -977,7 +914,12 @@ mod tests {
         };
         let mut profiled = Engine::new(cfg, perm_toolkit(12), &eval);
         profiled.set_phase_hook(&hook);
-        profiled.run(&Termination::Generations(20));
+        run(
+            &mut profiled,
+            &Termination::Generations(20),
+            &mut |_| {},
+            None,
+        );
 
         // The profiler is measurement-only: same seed, same trajectory.
         assert_eq!(bare.best().cost, profiled.best().cost);

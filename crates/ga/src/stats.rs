@@ -103,9 +103,8 @@ pub struct GenRecord {
     pub diversity: f64,
 }
 
-/// One generation's convergence telemetry as emitted by the sampled
-/// anytime runs (`Engine::run_sampled`, `run_until_sampled` on the
-/// parallel models): a [`GenRecord`] plus the anytime counters an
+/// One generation's convergence telemetry as emitted by a sampled
+/// [`crate::engine::run`]: a [`GenRecord`] plus the anytime counters an
 /// external observer needs to judge progress without access to the
 /// model — evaluation count, stagnation age, and (for island models)
 /// which island produced the sample and whether migration fired on
@@ -144,6 +143,25 @@ pub struct History {
 impl History {
     pub fn push(&mut self, rec: GenRecord) {
         self.records.push(rec);
+    }
+
+    /// The latest record as a panmictic [`GenerationSample`] (no island
+    /// tag, no migration mark) carrying the given anytime counters.
+    pub fn last_sample(
+        &self,
+        evaluations: u64,
+        since_improvement: u64,
+    ) -> Option<GenerationSample> {
+        self.records.last().map(|rec| GenerationSample {
+            island: None,
+            generation: rec.generation,
+            evaluations,
+            best_cost: rec.best_cost,
+            mean_cost: rec.mean_cost,
+            diversity: rec.diversity,
+            since_improvement,
+            migration: false,
+        })
     }
 
     pub fn best_final(&self) -> Option<f64> {

@@ -10,9 +10,11 @@
 //! thread scheduling.
 
 use crate::telemetry::RunTelemetry;
-use ga::engine::{GaPhase, Individual, PhaseHook, Toolkit};
+use ga::engine::{
+    AnytimeStatus, GaPhase, Generational, Individual, PhaseHook, SampleEmit, Toolkit,
+};
 use ga::rng::stream_rng;
-use ga::stats::{mean_hamming, GenRecord, GenerationSample, History};
+use ga::stats::{mean_hamming, GenRecord, History};
 use ga::Evaluator;
 use rayon::prelude::*;
 
@@ -252,75 +254,6 @@ impl<'a, G: Clone + Send + Sync> CellularGa<'a, G> {
         self.best.clone()
     }
 
-    /// Runs until a [`ga::termination::Termination`] criterion fires
-    /// (evaluated on the whole grid's progress).
-    pub fn run_until(&mut self, termination: &ga::termination::Termination) -> Individual<G> {
-        self.run_until_observed(termination, &mut |_| {})
-    }
-
-    /// Like [`run_until`](Self::run_until), but invokes `on_best` on the
-    /// initial best and on every subsequent improvement — the anytime
-    /// best-so-far hook used by portfolio racing.
-    pub fn run_until_observed(
-        &mut self,
-        termination: &ga::termination::Termination,
-        on_best: &mut dyn FnMut(&Individual<G>),
-    ) -> Individual<G> {
-        self.run_until_sampled(termination, on_best, &mut |_| {})
-    }
-
-    /// Like [`run_until_observed`](Self::run_until_observed), but also
-    /// emits one whole-grid [`GenerationSample`] per generation
-    /// (`island: None` — the torus is one panmictic sampling unit).
-    /// Sampling reads recorded state only, so a sampled run is
-    /// bit-identical to an unsampled one.
-    pub fn run_until_sampled(
-        &mut self,
-        termination: &ga::termination::Termination,
-        on_best: &mut dyn FnMut(&Individual<G>),
-        on_sample: &mut dyn FnMut(GenerationSample),
-    ) -> Individual<G> {
-        // Count strict improvements into the run telemetry (the
-        // baseline report of the starting best is not one).
-        let mut last = self.best.cost;
-        let mut seen = 0u64;
-        let best = ga::engine::run_anytime_sampled(
-            self,
-            termination,
-            &|m| ga::engine::AnytimeStatus {
-                generation: m.generation,
-                evaluations: m.telemetry.evaluations,
-                best_cost: m.best.cost,
-            },
-            &mut |m, emit| {
-                m.step();
-                if let Some(rec) = m.history.records.last() {
-                    emit(GenerationSample {
-                        island: None,
-                        generation: rec.generation,
-                        evaluations: m.telemetry.evaluations,
-                        best_cost: rec.best_cost,
-                        mean_cost: rec.mean_cost,
-                        diversity: rec.diversity,
-                        since_improvement: m.since_improvement,
-                        migration: false,
-                    });
-                }
-            },
-            &|m| m.best.clone(),
-            &mut |ind| {
-                if ind.cost < last {
-                    last = ind.cost;
-                    seen += 1;
-                }
-                on_best(ind);
-            },
-            on_sample,
-        );
-        self.telemetry.improvements += seen;
-        best
-    }
-
     pub fn best(&self) -> &Individual<G> {
         &self.best
     }
@@ -343,6 +276,39 @@ impl<'a, G: Clone + Send + Sync> CellularGa<'a, G> {
 
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+}
+
+/// Driven by [`ga::engine::run`] on the whole grid's progress; a sampled
+/// step emits one whole-grid sample (the torus is one sampling unit).
+impl<G: Clone + Send + Sync> Generational<G> for CellularGa<'_, G> {
+    fn status(&self) -> AnytimeStatus {
+        AnytimeStatus {
+            generation: self.generation,
+            evaluations: self.telemetry.evaluations,
+            best_cost: self.best.cost,
+        }
+    }
+
+    fn step(&mut self, emit: Option<&mut SampleEmit<'_>>) {
+        let before = self.best.cost;
+        CellularGa::step(self);
+        // Counted here, so only loop-driven runs count improvements.
+        if self.best.cost < before {
+            self.telemetry.improvements += 1;
+        }
+        let evaluations = self.telemetry.evaluations;
+        if let (Some(emit), Some(s)) = (
+            emit,
+            self.history
+                .last_sample(evaluations, self.since_improvement),
+        ) {
+            emit(s);
+        }
+    }
+
+    fn best(&self) -> Individual<G> {
+        self.best.clone()
     }
 }
 
@@ -461,9 +427,12 @@ mod tests {
         let mut cga = CellularGa::new(CellularConfig::new(4, 4, 6), toolkit(8), &eval);
         let mut samples = Vec::new();
         use ga::termination::Termination;
-        let best = cga.run_until_sampled(&Termination::Generations(10), &mut |_| {}, &mut |s| {
-            samples.push(s)
-        });
+        let best = ga::engine::run(
+            &mut cga,
+            &Termination::Generations(10),
+            &mut |_| {},
+            Some(&mut |s| samples.push(s)),
+        );
         assert_eq!(samples.len(), 10);
         let mut prev_best = f64::INFINITY;
         for (k, s) in samples.iter().enumerate() {
@@ -492,8 +461,10 @@ mod tests {
     fn profiled_grid_run_is_bit_identical() {
         use std::sync::atomic::{AtomicU64, Ordering};
         let eval = |g: &Vec<usize>| displacement(g);
+        use ga::termination::Termination;
+        let t = Termination::Generations(8);
         let mut bare = CellularGa::new(CellularConfig::new(4, 4, 7), toolkit(8), &eval);
-        bare.run(8);
+        ga::engine::run(&mut bare, &t, &mut |_| {}, None);
 
         let breed_ns = AtomicU64::new(0);
         let evaluate_ns = AtomicU64::new(0);
@@ -511,7 +482,7 @@ mod tests {
         };
         let mut profiled = CellularGa::new(CellularConfig::new(4, 4, 7), toolkit(8), &eval);
         profiled.set_phase_hook(&hook);
-        profiled.run(8);
+        ga::engine::run(&mut profiled, &t, &mut |_| {}, None);
 
         assert_eq!(bare.best().cost, profiled.best().cost);
         assert_eq!(bare.best().genome, profiled.best().genome);

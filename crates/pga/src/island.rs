@@ -15,9 +15,12 @@
 use crate::migration::{emigrant_indices, replacement_indices, MigrationConfig};
 use crate::telemetry::RunTelemetry;
 use crate::topology::Topology;
-use ga::engine::{Engine, GaConfig, GaPhase, Individual, PhaseHook, Toolkit};
+use ga::engine::{
+    AnytimeStatus, Engine, GaConfig, GaPhase, Generational, Individual, PhaseHook, SampleEmit,
+    Toolkit,
+};
 use ga::rng::{split_seed, stream_rng};
-use ga::stats::{stagnation_fraction, GenRecord, GenerationSample, History};
+use ga::stats::{stagnation_fraction, GenRecord, History};
 use ga::Evaluator;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
@@ -337,79 +340,6 @@ impl<'a, G: Clone + Send + Sync> IslandGa<'a, G> {
         self.best_overall.clone()
     }
 
-    /// Runs until a [`ga::termination::Termination`] criterion fires
-    /// (evaluated on the island model's global progress).
-    pub fn run_until(&mut self, termination: &ga::termination::Termination) -> Individual<G> {
-        self.run_until_observed(termination, &mut |_| {})
-    }
-
-    /// Like [`run_until`](Self::run_until), but invokes `on_best` on the
-    /// initial global best and on every subsequent improvement — the
-    /// anytime best-so-far hook used by portfolio racing.
-    pub fn run_until_observed(
-        &mut self,
-        termination: &ga::termination::Termination,
-        on_best: &mut dyn FnMut(&Individual<G>),
-    ) -> Individual<G> {
-        self.run_until_sampled(termination, on_best, &mut |_| {})
-    }
-
-    /// Like [`run_until_observed`](Self::run_until_observed), but also
-    /// emits one [`GenerationSample`] per *active island* per
-    /// generation, tagged with the island id (`island: Some(i)`) and
-    /// carrying that island's own best/mean/diversity and stagnation
-    /// age from its engine history. Generations on which a migration
-    /// or broadcast exchange fired have `migration: true` on every
-    /// sample of that generation — the discrete marks on an island
-    /// convergence plot. Sampling reads recorded state only and never
-    /// touches any RNG stream, so a sampled run is bit-identical to an
-    /// unsampled one.
-    pub fn run_until_sampled(
-        &mut self,
-        termination: &ga::termination::Termination,
-        on_best: &mut dyn FnMut(&Individual<G>),
-        on_sample: &mut dyn FnMut(GenerationSample),
-    ) -> Individual<G> {
-        // Count strict improvements into the run telemetry (the
-        // baseline report of the starting best is not one); `<`
-        // filters it out because its cost equals `last`.
-        let mut last = self.best_overall.cost;
-        let mut seen = 0u64;
-        let best = ga::engine::run_anytime_sampled(
-            self,
-            termination,
-            &|m| ga::engine::AnytimeStatus {
-                generation: m.generation,
-                evaluations: m.telemetry.evaluations,
-                best_cost: m.best_overall.cost,
-            },
-            &mut |m, emit| {
-                m.step_generation();
-                let migrated = m.migrated_last_gen;
-                for (i, e) in m.engines.iter().enumerate() {
-                    if !m.active[i] {
-                        continue;
-                    }
-                    let mut s = e.last_sample();
-                    s.island = Some(i as u32);
-                    s.migration = migrated;
-                    emit(s);
-                }
-            },
-            &|m| m.best_overall.clone(),
-            &mut |ind| {
-                if ind.cost < last {
-                    last = ind.cost;
-                    seen += 1;
-                }
-                on_best(ind);
-            },
-            on_sample,
-        );
-        self.telemetry.improvements += seen;
-        best
-    }
-
     /// Best individual found so far across all islands (including merged
     /// ones).
     pub fn best(&self) -> &Individual<G> {
@@ -434,6 +364,42 @@ impl<'a, G: Clone + Send + Sync> IslandGa<'a, G> {
 
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+}
+
+/// Driven by [`ga::engine::run`] on the global progress. A sampled step
+/// emits one sample per *active island* from its engine history, tagged
+/// `island: Some(i)`, with `migration: true` when an exchange fired.
+impl<G: Clone + Send + Sync> Generational<G> for IslandGa<'_, G> {
+    fn status(&self) -> AnytimeStatus {
+        AnytimeStatus {
+            generation: self.generation,
+            evaluations: self.telemetry.evaluations,
+            best_cost: self.best_overall.cost,
+        }
+    }
+
+    fn step(&mut self, emit: Option<&mut SampleEmit<'_>>) {
+        let before = self.best_overall.cost;
+        self.step_generation();
+        // Counted here, so only loop-driven runs count improvements.
+        if self.best_overall.cost < before {
+            self.telemetry.improvements += 1;
+        }
+        let Some(emit) = emit else { return };
+        for (i, e) in self.engines.iter().enumerate() {
+            if !self.active[i] {
+                continue;
+            }
+            let mut s = e.last_sample();
+            s.island = Some(i as u32);
+            s.migration = self.migrated_last_gen;
+            emit(s);
+        }
+    }
+
+    fn best(&self) -> Individual<G> {
+        self.best_overall.clone()
     }
 }
 
@@ -605,7 +571,7 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_on_target_and_stagnation() {
+    fn run_stops_on_target_and_stagnation() {
         let eval = |g: &Vec<usize>| displacement(g);
         let mut ig = IslandGa::homogeneous(
             base_cfg(12),
@@ -615,11 +581,12 @@ mod tests {
             IslandConfig::new(MigrationConfig::ring(3, 1)),
         );
         use ga::termination::Termination;
-        ig.run_until(&Termination::Any(vec![
+        let stop = Termination::Any(vec![
             Termination::TargetCost(0.0),
             Termination::Stagnation(30),
             Termination::Generations(500),
-        ]));
+        ]);
+        ga::engine::run(&mut ig, &stop, &mut |_| {}, None);
         // Tiny instance: expect the optimum before the generation cap.
         assert!(ig.generation() < 500);
     }
@@ -673,9 +640,12 @@ mod tests {
         );
         let mut samples = Vec::new();
         use ga::termination::Termination;
-        ig.run_until_sampled(&Termination::Generations(12), &mut |_| {}, &mut |s| {
-            samples.push(s)
-        });
+        ga::engine::run(
+            &mut ig,
+            &Termination::Generations(12),
+            &mut |_| {},
+            Some(&mut |s| samples.push(s)),
+        );
         // One sample per active island per generation.
         assert_eq!(samples.len(), 12 * 3);
         for (k, s) in samples.iter().enumerate() {
@@ -707,9 +677,9 @@ mod tests {
         use ga::termination::Termination;
         let t = Termination::Generations(15);
         let mut plain = build();
-        let a = plain.run_until_observed(&t, &mut |_| {});
+        let a = ga::engine::run(&mut plain, &t, &mut |_| {}, None);
         let mut sampled = build();
-        let b = sampled.run_until_sampled(&t, &mut |_| {}, &mut |_| {});
+        let b = ga::engine::run(&mut sampled, &t, &mut |_| {}, Some(&mut |_| {}));
         assert_eq!(a.cost, b.cost);
         assert_eq!(a.genome, b.genome);
         assert_eq!(plain.history().records, sampled.history().records);
@@ -728,8 +698,10 @@ mod tests {
                 IslandConfig::new(MigrationConfig::ring(2, 1)),
             )
         };
+        use ga::termination::Termination;
+        let t = Termination::Generations(10);
         let mut bare = build();
-        bare.run(10);
+        ga::engine::run(&mut bare, &t, &mut |_| {}, None);
 
         let evaluate_ns = AtomicU64::new(0);
         let migrate_ns = AtomicU64::new(0);
@@ -747,7 +719,7 @@ mod tests {
         };
         let mut profiled = build();
         profiled.set_phase_hook(&hook);
-        profiled.run(10);
+        ga::engine::run(&mut profiled, &t, &mut |_| {}, None);
 
         assert_eq!(bare.best().cost, profiled.best().cost);
         assert_eq!(bare.best().genome, profiled.best().genome);

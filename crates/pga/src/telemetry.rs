@@ -25,9 +25,9 @@ pub struct RunTelemetry {
     pub workers: usize,
     /// Strict best-so-far improvements observed during the run (the
     /// starting best is the baseline, not an improvement) — the points
-    /// on an anytime convergence curve. Accumulated by the observed
-    /// run entry points (`run_until_observed` and friends); zero for
-    /// runs driven without an observer.
+    /// on an anytime convergence curve. Accumulated by the parallel
+    /// models' steps under `ga::engine::run`; zero for runs driven by
+    /// their generation-count `run(n)` methods.
     pub improvements: u64,
     /// Incremental-decoder invocations behind this run's evaluations
     /// (zero when the evaluator is not decoder-backed or the caller

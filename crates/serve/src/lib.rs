@@ -63,6 +63,8 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+#[cfg(test)]
+mod codec_pins;
 pub mod json;
 pub mod obs;
 pub mod portfolio;
@@ -90,7 +92,22 @@ pub use session::{
     EventOutcome, JournalEntry, ResolveSkip, SessionConfig, SessionGauges, SessionRegistry,
     SessionState,
 };
-pub use solver::{
-    load_instance, solve, solve_hooked, solve_traced, LoadedInstance, SolveHooks, SolveOutcome,
-};
+pub use solver::{load_instance, solve_hooked, LoadedInstance, SolveHooks, SolveOutcome};
 pub use wal::{RecoverOutcome, RecoveredSession, Wal, WalConfig};
+
+/// [`solve_hooked`] with every hook off (the benchmark crate under
+/// `perfbench/` calls it by this name).
+pub fn solve(
+    pool: &RacerPool,
+    inst: &std::sync::Arc<LoadedInstance>,
+    objective: Objective,
+    seed: u64,
+    deadline: std::time::Instant,
+    gen_cap: u64,
+    threads: usize,
+) -> SolveOutcome {
+    let hooks = SolveHooks::default();
+    solve_hooked(
+        pool, inst, objective, seed, deadline, gen_cap, threads, hooks,
+    )
+}

@@ -29,7 +29,8 @@ use crate::json::Json;
 use crate::obs::phase::PhaseAcc;
 use crate::obs::trace::{sample_json, MemberTrace};
 use crate::scheduler::{CancelToken, RacerPool, TaskRun};
-use ga::engine::{GaConfig, GaPhase, Individual, Toolkit};
+use crate::solver::SolveHooks;
+use ga::engine::{Engine, GaConfig, GaPhase, Generational, Individual, SampleEmit, Toolkit};
 use ga::rng::split_seed;
 use ga::stats::GenerationSample;
 use ga::termination::Termination;
@@ -249,37 +250,6 @@ pub struct StopRule {
     pub target: f64,
 }
 
-/// The hooks a race threads through to its members: improvement-
-/// timeline tracing, a live watch sink, and the phase-time
-/// accumulator. `Arc`-owned because pooled member tasks outlive the
-/// submitting stack frame.
-#[derive(Default, Clone)]
-pub(crate) struct RaceHooks {
-    /// Record per-member improvement timelines and retained
-    /// convergence samples into `RaceResult::timelines`.
-    pub(crate) traced: bool,
-    /// Live frame sink (watched races).
-    pub(crate) watch: Option<Arc<dyn WatchSink>>,
-    /// Phase-time accumulator; when present every member installs the
-    /// engine phase hook (and the solver times decodes) into it.
-    pub(crate) phases: Option<Arc<PhaseAcc>>,
-}
-
-impl RaceHooks {
-    /// Trace-only hooks (the pre-watch surface of `race_core`).
-    pub(crate) fn bare(traced: bool) -> Self {
-        RaceHooks {
-            traced,
-            ..RaceHooks::default()
-        }
-    }
-
-    /// True when members must emit per-generation samples at all.
-    fn wants_samples(&self) -> bool {
-        self.traced || self.watch.is_some()
-    }
-}
-
 /// This member's slice of a watched race: where frames go and how to
 /// label them.
 struct WatchCtx<'a> {
@@ -400,8 +370,8 @@ impl MemberObs<'_> {
 
     /// Funnels one per-generation convergence sample: streamed live
     /// when watched, retained (decimated) next to the improvement
-    /// timeline when traced. No-op — and never called by the models,
-    /// which check [`MemberObs::wants_samples`] — on bare races.
+    /// timeline when traced. No-op — and never called by [`drive`] —
+    /// on bare races.
     pub(crate) fn sample(&self, s: GenerationSample) {
         if let Some(w) = &self.watch {
             let Json::Obj(fields) = sample_json(&s) else {
@@ -415,16 +385,9 @@ impl MemberObs<'_> {
                 .retain_sample(s);
         }
     }
-
-    /// True when [`MemberObs::sample`] has somewhere to put samples —
-    /// models skip the sampled run paths entirely otherwise, keeping
-    /// the bare hot path byte-for-byte the pre-observability one.
-    pub(crate) fn wants_samples(&self) -> bool {
-        self.watch.is_some() || self.timeline.is_some()
-    }
 }
 
-/// The type-erased per-member work unit `race_core` schedules: run
+/// The type-erased per-member work unit [`race_core_hooked`] schedules: run
 /// `ModelKind` with the given derived seed under the stop rule,
 /// reporting improvements through the member observer; return the
 /// member's best, its telemetry, and whether the deadline alone cut it
@@ -462,14 +425,12 @@ struct RaceState<G> {
     /// Per-member improvement accumulators; allocated only for traced
     /// (or watched) races so untraced requests pay nothing.
     timelines: Option<Vec<Mutex<MemberAcc>>>,
-    /// Live frame sink (watched races).
-    watch: Option<Arc<dyn WatchSink>>,
-    /// Phase-time accumulator (profiled races).
-    phases: Option<Arc<PhaseAcc>>,
+    /// The race's watch sink and phase accumulator.
+    hooks: SolveHooks,
 }
 
 impl<G> RaceState<G> {
-    fn new(members: usize, hooks: &RaceHooks) -> Self {
+    fn new(members: usize, hooks: SolveHooks) -> Self {
         RaceState {
             best: BestSoFar::default(),
             results: Mutex::new((0..members).map(|_| None).collect()),
@@ -481,11 +442,9 @@ impl<G> RaceState<G> {
             pool_wait_us: AtomicU64::new(0),
             run_ns: AtomicU64::new(0),
             t0: Instant::now(),
-            timelines: hooks
-                .wants_samples()
+            timelines: (hooks.traced || hooks.watch.is_some())
                 .then(|| (0..members).map(|_| Mutex::default()).collect()),
-            watch: hooks.watch.clone(),
-            phases: hooks.phases.clone(),
+            hooks,
         }
     }
 
@@ -494,20 +453,20 @@ impl<G> RaceState<G> {
         MemberObs {
             best: &self.best,
             timeline: self.timelines.as_ref().map(|tls| (self.t0, &tls[i])),
-            watch: self.watch.as_deref().map(|sink| WatchCtx {
+            watch: self.hooks.watch.as_deref().map(|sink| WatchCtx {
                 sink,
                 member: i,
                 model,
                 t0: self.t0,
             }),
             watch_best: Cell::new(f64::INFINITY),
-            phases: self.phases.as_deref(),
+            phases: self.hooks.phases.as_deref(),
         }
     }
 
     /// Announces member `i`'s run start/finish on the watch stream.
     fn watch_lifecycle(&self, i: usize, model: &'static str, kind: &str, best: Option<f64>) {
-        if let Some(sink) = self.watch.as_deref() {
+        if let Some(sink) = self.hooks.watch.as_deref() {
             let ctx = WatchCtx {
                 sink,
                 member: i,
@@ -525,20 +484,37 @@ impl<G> RaceState<G> {
         }
     }
 
-    /// Stamps member `i`'s run start (µs after the race began).
-    fn mark_start(&self, i: usize) {
-        if let Some(tls) = &self.timelines {
-            tls[i].lock().expect("member timeline poisoned").start_us =
+    /// Runs member `i` on the calling thread, stamping and announcing
+    /// its start and finish, and stores its result.
+    fn run_slot(
+        &self,
+        i: usize,
+        member: ModelKind,
+        runner: &MemberRunner<G>,
+        seed: u64,
+        stop: &StopRule,
+    ) {
+        let timeline = self.timelines.as_ref().map(|tls| &tls[i]);
+        if let Some(acc) = timeline {
+            acc.lock().expect("member timeline poisoned").start_us =
                 self.t0.elapsed().as_micros() as u64;
         }
-    }
-
-    /// Stamps member `i`'s run end.
-    fn mark_end(&self, i: usize) {
-        if let Some(tls) = &self.timelines {
-            let mut acc = tls[i].lock().expect("member timeline poisoned");
+        self.watch_lifecycle(i, member.name(), "start", None);
+        let run_t0 = Instant::now();
+        let out = runner(
+            member,
+            split_seed(seed, i as u64),
+            stop,
+            &self.obs(i, member.name()),
+        );
+        self.run_ns
+            .fetch_add(run_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        if let Some(acc) = timeline {
+            let mut acc = acc.lock().expect("member timeline poisoned");
             acc.dur_us = (self.t0.elapsed().as_micros() as u64).saturating_sub(acc.start_us);
         }
+        self.watch_lifecycle(i, member.name(), "finish", Some(out.0.cost));
+        self.results.lock().expect("results poisoned")[i] = Some(out);
     }
 
     fn begin_run(&self) {
@@ -604,32 +580,7 @@ impl<G> RaceState<G> {
     }
 }
 
-/// The trace-only scheduling entry (kept for callers that predate the
-/// watch/profiler hooks): forwards to [`race_core_hooked`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn race_core<G: Send + 'static>(
-    pool: &RacerPool,
-    lineup: &[ModelKind],
-    runner: Arc<MemberRunner<G>>,
-    seed: u64,
-    deadline: Instant,
-    gen_cap: u64,
-    target: f64,
-    traced: bool,
-) -> RaceResult<G> {
-    race_core_hooked(
-        pool,
-        lineup,
-        runner,
-        seed,
-        deadline,
-        gen_cap,
-        target,
-        RaceHooks::bare(traced),
-    )
-}
-
-/// The scheduling core shared by [`race`] and the solver glue: run
+/// The one scheduling core, shared by [`race`] and the codec race: run
 /// `lineup[0]` inline on the calling thread and the rest as cancellable
 /// tasks on `pool`, then merge whatever completed. The hooks thread
 /// tracing (per-member improvement timelines plus retained convergence
@@ -646,7 +597,7 @@ pub(crate) fn race_core_hooked<G: Send + 'static>(
     deadline: Instant,
     gen_cap: u64,
     target: f64,
-    hooks: RaceHooks,
+    hooks: SolveHooks,
 ) -> RaceResult<G> {
     assert!(!lineup.is_empty(), "portfolio needs at least one member");
     let stop = StopRule {
@@ -654,7 +605,7 @@ pub(crate) fn race_core_hooked<G: Send + 'static>(
         gen_cap,
         target,
     };
-    let state: Arc<RaceState<G>> = Arc::new(RaceState::new(lineup.len(), &hooks));
+    let state: Arc<RaceState<G>> = Arc::new(RaceState::new(lineup.len(), hooks));
     let cancel = Arc::new(CancelToken::default());
 
     for (i, member) in lineup.iter().enumerate().skip(1) {
@@ -687,21 +638,7 @@ pub(crate) fn race_core_hooked<G: Send + 'static>(
                     }
                 }
                 let _guard = FinishGuard(&state);
-                state.mark_start(i);
-                state.watch_lifecycle(i, member.name(), "start", None);
-                let run_t0 = Instant::now();
-                let out = runner(
-                    member,
-                    split_seed(seed, i as u64),
-                    &stop,
-                    &state.obs(i, member.name()),
-                );
-                state
-                    .run_ns
-                    .fetch_add(run_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                state.mark_end(i);
-                state.watch_lifecycle(i, member.name(), "finish", Some(out.0.cost));
-                state.results.lock().expect("results poisoned")[i] = Some(out);
+                state.run_slot(i, member, &*runner, seed, &stop);
             }),
         );
     }
@@ -709,21 +646,7 @@ pub(crate) fn race_core_hooked<G: Send + 'static>(
     // The predicted-cheapest member races inline on this thread: even a
     // fully saturated pool cannot starve a race of progress, and total
     // racing threads stay bounded by pool size + serving workers.
-    state.mark_start(0);
-    state.watch_lifecycle(0, lineup[0].name(), "start", None);
-    let run_t0 = Instant::now();
-    let inline = runner(
-        lineup[0],
-        split_seed(seed, 0),
-        &stop,
-        &state.obs(0, lineup[0].name()),
-    );
-    state
-        .run_ns
-        .fetch_add(run_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    state.mark_end(0);
-    state.watch_lifecycle(0, lineup[0].name(), "finish", Some(inline.0.cost));
-    state.results.lock().expect("results poisoned")[0] = Some(inline);
+    state.run_slot(0, lineup[0], &*runner, seed, &stop);
     state.wait_for_members(deadline, target, &cancel);
     // Idempotent; covers the all-members-finished path too, where any
     // re-submitted key's stale queue entries no longer exist.
@@ -872,21 +795,8 @@ where
             run_member(member, member_seed, &toolkit_factory, &evaluator, stop, obs)
         },
     );
-    race_core(pool, lineup, runner, seed, deadline, gen_cap, target, false)
-}
-
-/// Evaluator adapter forwarding to a borrowed evaluator (lets one
-/// evaluator back several racers while a wrapper owns its `E`).
-struct ByRef<'a, E>(&'a E);
-
-impl<G, E: Evaluator<G>> Evaluator<G> for ByRef<'_, E> {
-    fn cost(&self, genome: &G) -> f64 {
-        self.0.cost(genome)
-    }
-
-    fn cost_batch(&self, genomes: &[G]) -> Vec<f64> {
-        self.0.cost_batch(genomes)
-    }
+    let hooks = SolveHooks::default();
+    race_core_hooked(pool, lineup, runner, seed, deadline, gen_cap, target, hooks)
 }
 
 /// Generations per chunk between cooperative checks of the shared
@@ -927,8 +837,8 @@ fn run_chunked<G>(
 }
 
 /// Runs one portfolio member to completion under the stop rule. This is
-/// the unit of work a racer-pool task executes; the solver glue calls
-/// it from its family-specific [`MemberRunner`] closures.
+/// the unit of work a racer-pool task executes; the codec race calls it
+/// from its [`MemberRunner`].
 pub(crate) fn run_member<G, TF, E>(
     member: ModelKind,
     seed: u64,
@@ -942,9 +852,6 @@ where
     TF: Fn() -> Toolkit<G> + Sync,
     E: Evaluator<G> + Sync,
 {
-    let shared = obs.best;
-    let report = &mut |ind: &Individual<G>| obs.report(ind.cost);
-    let sampled = obs.wants_samples();
     // The engines skip their phase clock reads entirely when no hook
     // is installed, so this closure only exists for profiled races.
     let phase_hook = obs
@@ -962,19 +869,12 @@ where
             // the offline rayon shim this is sequential (bit-identical
             // by the master-slave contract), with upstream rayon the
             // batch genuinely fans out.
-            let fan_out = RayonEvaluator::new(ByRef(evaluator));
-            let mut engine = ga::engine::Engine::new(cfg, toolkit_factory(), &fan_out);
+            let fan_out = RayonEvaluator::new(|g: &G| evaluator.cost(g));
+            let mut engine = Engine::new(cfg, toolkit_factory(), &fan_out);
             if let Some(hook) = &phase_hook {
                 engine.set_phase_hook(hook);
             }
-            let (best, timed_out) = run_chunked(stop, shared, &mut |t| {
-                let best = if sampled {
-                    engine.run_sampled(t, report, &mut |s| obs.sample(s))
-                } else {
-                    engine.run_observed(t, report)
-                };
-                (best, engine.generation())
-            });
+            let (best, timed_out) = drive(&mut engine, stop, obs);
             let telemetry = RunTelemetry {
                 generations: engine.generation(),
                 evaluations: engine.evaluations(),
@@ -1003,16 +903,8 @@ where
             if let Some(hook) = &phase_hook {
                 ig.set_phase_hook(hook);
             }
-            let (best, timed_out) = run_chunked(stop, shared, &mut |t| {
-                let best = if sampled {
-                    ig.run_until_sampled(t, report, &mut |s| obs.sample(s))
-                } else {
-                    ig.run_until_observed(t, report)
-                };
-                (best, ig.generation())
-            });
-            let telemetry = ig.telemetry.clone();
-            (best, telemetry, timed_out)
+            let (best, timed_out) = drive(&mut ig, stop, obs);
+            (best, ig.telemetry.clone(), timed_out)
         }
         ModelKind::Cellular { rows, cols } => {
             let cfg = CellularConfig::new(rows, cols, seed);
@@ -1020,18 +912,26 @@ where
             if let Some(hook) = &phase_hook {
                 cga.set_phase_hook(hook);
             }
-            let (best, timed_out) = run_chunked(stop, shared, &mut |t| {
-                let best = if sampled {
-                    cga.run_until_sampled(t, report, &mut |s| obs.sample(s))
-                } else {
-                    cga.run_until_observed(t, report)
-                };
-                (best, cga.generation())
-            });
-            let telemetry = cga.telemetry.clone();
-            (best, telemetry, timed_out)
+            let (best, timed_out) = drive(&mut cga, stop, obs);
+            (best, cga.telemetry.clone(), timed_out)
         }
     }
+}
+
+/// Drives a member's model through [`ga::engine::run`] in cooperative
+/// chunks; bare races pass no sample emitter, so build no samples.
+fn drive<G>(
+    model: &mut dyn Generational<G>,
+    stop: &StopRule,
+    obs: &MemberObs,
+) -> (Individual<G>, bool) {
+    let sampled = obs.watch.is_some() || obs.timeline.is_some();
+    let mut on_sample = |s| obs.sample(s);
+    run_chunked(stop, obs.best, &mut |t| {
+        let emit: Option<&mut SampleEmit> = sampled.then_some(&mut on_sample);
+        let best = ga::engine::run(model, t, &mut |ind| obs.report(ind.cost), emit);
+        (best, model.status().generation)
+    })
 }
 
 #[cfg(test)]

@@ -2050,23 +2050,12 @@ fn watch_solve(
         shared,
         armed: true,
     };
-    let mut trace = start_trace(req.trace, "watch", 0, shared);
-    let deadline_ms = effective_deadline_ms(req.deadline_ms, &shared.config);
-    let deadline = Instant::now() + Duration::from_millis(deadline_ms);
-    let body = solve_cached(
-        id,
-        &inst,
-        req.objective,
-        req.seed,
-        deadline,
-        deadline_ms,
-        queue_wait,
-        trace.as_mut(),
-        Some(Arc::clone(&sink) as Arc<dyn WatchSink>),
-        shared,
-    );
-    let body = attach_trace(body, trace, shared);
-    finish_watch(guard, body)
+    let trace = start_trace(req.trace, "watch", 0, shared);
+    let watch = Some(Arc::clone(&sink) as Arc<dyn WatchSink>);
+    finish_watch(
+        guard,
+        solve_body(req, &inst, trace, queue_wait, watch, shared),
+    )
 }
 
 /// `{"cmd":"watch","session":S,"event":E}` — a session disruption whose
@@ -2354,15 +2343,19 @@ fn session_event_body(
         shared.config.racers,
         skip_resolve,
         trace.as_mut(),
-        watch,
-        Some(Arc::clone(&phases)),
+        SolveHooks {
+            watch,
+            phases: Some(Arc::clone(&phases)),
+            ..SolveHooks::default()
+        },
     );
     shared
         .metrics
         .session_event_us
         .observe(started.elapsed().as_micros() as u64);
-    // Sessions are job-shop only; their suffix decodes are not timed
-    // per-op, so only the engine phases land (drift stays untouched).
+    // Sessions are job-shop only; their re-solves feed the engine and
+    // decode phases through the shared codec race, and run_ns =
+    // eval_ops = 0 keeps the cost-model drift gauge solve-only.
     shared.metrics.observe_race_profile("job", &phases, 0, 0);
     match outcome {
         Err(msg) => {
@@ -2537,30 +2530,43 @@ fn handle_solve(
     parse_us: u64,
     shared: &Shared,
 ) -> String {
-    let id = req.id.as_deref();
-    let mut trace = start_trace(req.trace, "solve", parse_us, shared);
+    let trace = start_trace(req.trace, "solve", parse_us, shared);
     let inst = match load_instance(&req.instance) {
         Ok(inst) => Arc::new(inst),
         Err(e) => {
             shared.stats.errors.inc();
-            return encode_error(id, &e.to_string());
+            return encode_error(req.id.as_deref(), &e.to_string());
         }
     };
+    solve_body(req, &inst, trace, queue_wait, None, shared).encode()
+}
+
+/// The body of a plain or watched solve request: solves `inst` under
+/// the request's effective deadline through the cache-aware core and
+/// attaches the request's trace.
+fn solve_body(
+    req: &SolveRequest,
+    inst: &Arc<LoadedInstance>,
+    mut trace: Option<Trace>,
+    queue_wait: Duration,
+    watch: Option<Arc<dyn WatchSink>>,
+    shared: &Shared,
+) -> Json {
     let deadline_ms = effective_deadline_ms(req.deadline_ms, &shared.config);
     let deadline = Instant::now() + Duration::from_millis(deadline_ms);
     let body = solve_cached(
-        id,
-        &inst,
+        req.id.as_deref(),
+        inst,
         req.objective,
         req.seed,
         deadline,
         deadline_ms,
         queue_wait,
         trace.as_mut(),
-        None,
+        watch,
         shared,
     );
-    attach_trace(body, trace, shared).encode()
+    attach_trace(body, trace, shared)
 }
 
 fn handle_generate(req: &GenerateRequest, queue_wait: Duration, shared: &Shared) -> String {
@@ -4418,7 +4424,7 @@ mod tests {
 
     /// Emits after the sink is sealed — the straggler case: a pooled
     /// member popped just before cancellation can finish after
-    /// `race_core` returned at the deadline — are dropped everywhere,
+    /// `race_core_hooked` returned at the deadline — are dropped everywhere,
     /// so the answer frame stays the last line on the socket (framing
     /// of later requests on the connection survives) and in the
     /// replay channel (attach replays match the origin stream).

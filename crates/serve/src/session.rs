@@ -35,23 +35,22 @@
 //! session, so events on different sessions race concurrently while
 //! events on one session serialise in arrival order.
 
-use crate::obs::phase::PhaseAcc;
 use crate::obs::trace::Trace;
-use crate::portfolio::{
-    plan_lineup, race_core_hooked, run_member, MemberObs, MemberRunner, RaceHooks, StopRule,
-    WatchSink,
-};
+use crate::portfolio::plan_lineup;
 use crate::protocol::{Objective, Solution};
 use crate::scheduler::RacerPool;
+use crate::solver::{objective_of, perm_toolkit, race_codec, FamilyCodec, RacePlan, SolveHooks};
 use ga::engine::Toolkit;
+use ga::mutate::SeqMutation;
 use ga::rng::split_seed;
+use shop::decoder::table::DecodeCounters;
 use shop::dynamic::{
     apply_event, frozen_prefix, reschedule_suffix_with_windows, DownWindow, Event, SuffixRedecoder,
 };
 use shop::gen::Family;
 use shop::instance::JobShopInstance;
-use shop::schedule::Schedule;
-use shop::{Problem, Time};
+use shop::schedule::{Schedule, ScheduledOp};
+use shop::Time;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -424,34 +423,7 @@ pub fn handle_event(
     racers: usize,
     skip_resolve: bool,
 ) -> Result<EventOutcome, String> {
-    handle_event_traced(
-        pool,
-        state,
-        event,
-        deadline,
-        gen_cap,
-        racers,
-        skip_resolve,
-        None,
-    )
-}
-
-/// [`handle_event`] with request tracing. When `trace` is given, the
-/// right-shift repair and the GA re-solve are recorded as distinct
-/// `repair` / `resolve` spans, and each race member's strictly-improving
-/// anytime `(elapsed_us, best)` points ride on a `member/<model>` span.
-/// The event computation itself is unchanged.
-#[allow(clippy::too_many_arguments)]
-pub fn handle_event_traced(
-    pool: &RacerPool,
-    state: &mut SessionState,
-    event: &Event,
-    deadline: Instant,
-    gen_cap: u64,
-    racers: usize,
-    skip_resolve: bool,
-    trace: Option<&mut Trace>,
-) -> Result<EventOutcome, String> {
+    let hooks = SolveHooks::default();
     handle_event_hooked(
         pool,
         state,
@@ -460,17 +432,15 @@ pub fn handle_event_traced(
         gen_cap,
         racers,
         skip_resolve,
-        trace,
         None,
-        None,
+        hooks,
     )
 }
 
-/// [`handle_event_traced`] plus the live-observability hooks: a
-/// [`WatchSink`] streams the re-solve race's start/sample/best/finish
-/// frames as they happen, and a [`PhaseAcc`] accumulates the race's
-/// per-phase search time. Neither hook changes the race's trajectory —
-/// the event outcome is bit-identical with or without them.
+/// [`handle_event`] with request tracing (distinct `repair` / `resolve`
+/// spans plus per-member `member/<model>` timelines; `hooks.traced`
+/// follows `trace`) and the re-solve race's watch and phase hooks. No
+/// hook changes the event outcome.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn handle_event_hooked(
     pool: &RacerPool,
@@ -481,8 +451,7 @@ pub(crate) fn handle_event_hooked(
     racers: usize,
     skip_resolve: bool,
     mut trace: Option<&mut Trace>,
-    watch: Option<Arc<dyn WatchSink>>,
-    phases: Option<Arc<PhaseAcc>>,
+    hooks: SolveHooks,
 ) -> Result<EventOutcome, String> {
     let t = event.at();
     if t < state.now {
@@ -499,7 +468,7 @@ pub(crate) fn handle_event_hooked(
     if let Err(e) = repaired.validate_job(&inst) {
         return Err(format!("internal: repair produced {e}"));
     }
-    let repair_value = objective_value(&inst, &repaired, state.objective);
+    let repair_value = objective_of(&inst, &repaired, state.objective);
     if let (Some(tr), Some(start)) = (trace.as_deref_mut(), repair_start) {
         tr.span(
             "repair",
@@ -518,84 +487,23 @@ pub(crate) fn handle_event_hooked(
 
     let mut resolve: Option<(f64, Schedule, String, u64, bool)> = None;
     if skip.is_none() {
-        let k = suffix.len();
-        let objective = state.objective;
-        let shared_inst = Arc::new(inst.clone());
-        let shared_frozen = Arc::new(frozen.clone());
-        let shared_suffix = Arc::new(suffix.clone());
-        let shared_windows = Arc::new(windows.clone());
-        // Warm start: the identity permutation *is* the incumbent
-        // order, so the race's first individual already matches (or
-        // beats — greedy dispatch) right-shift repair; a handful of
-        // mutated clones around it seeds the neighbourhood.
-        let clones = (k / 2).clamp(2, 8);
-        let lineup = plan_lineup(Family::Job, k, racers.max(1));
-        // Every race member shares the Arc'd (instance, frozen,
-        // suffix, windows) base data and wraps it in its own
-        // incremental suffix re-decoder: evaluations are bit-identical
-        // to materialising via reschedule_suffix_with_windows (with
-        // the `now` floor at the event time, which is what keeps
-        // resolve <= repair), but a warm-started population's
-        // mutated-clone traffic re-times only the changed tail.
-        let runner: Arc<MemberRunner<Vec<usize>>> = {
-            let inst = Arc::clone(&shared_inst);
-            let frozen = Arc::clone(&shared_frozen);
-            let suffix = Arc::clone(&shared_suffix);
-            let windows = Arc::clone(&shared_windows);
-            Arc::new(move |member, mseed, stop: &StopRule, obs: &MemberObs| {
-                // Per-member mutable decode state; the mutex satisfies
-                // the `Fn + Sync` evaluator bound and is uncontended
-                // (one evaluator per member run).
-                let redecoder = Mutex::new(SuffixRedecoder::new(
-                    Arc::clone(&inst),
-                    &frozen,
-                    Arc::clone(&suffix),
-                    Arc::clone(&windows),
-                    t,
-                ));
-                let eval = move |perm: &Vec<usize>| {
-                    let mut r = redecoder.lock().unwrap();
-                    match objective {
-                        Objective::Makespan => r.makespan(perm) as f64,
-                        Objective::TotalCompletion => r.completion_sum(perm) as f64,
-                    }
-                };
-                let toolkit_factory =
-                    || suffix_toolkit(k).with_warm_start(vec![identity(k)], clones);
-                run_member(member, mseed, &toolkit_factory, &eval, stop, obs)
-            })
-        };
-        let resolve_start = trace.as_deref().map(|tr| tr.elapsed_us());
-        let outcome = race_core_hooked(
+        let codec = SuffixCodec::new(inst.clone(), frozen, suffix, windows.clone(), t);
+        let plan = RacePlan {
             pool,
-            &lineup,
-            runner,
-            split_seed(state.seed, state.events + 1),
+            lineup: plan_lineup(Family::Job, codec.suffix.len(), racers.max(1)),
+            objective: state.objective,
+            seed: split_seed(state.seed, state.events + 1),
             deadline,
             gen_cap,
-            0.0, // no cheap certificate for a frozen-prefix re-solve
-            RaceHooks {
+            target: 0.0, // no cheap certificate for a frozen-prefix re-solve
+            hooks: SolveHooks {
                 traced: trace.is_some(),
-                watch,
-                phases,
+                ..hooks
             },
-        );
-        // The winner is materialised and validated by the reference
-        // path — the incremental decoder never answers unchecked.
-        let order: Vec<(usize, usize)> = outcome
-            .best
-            .genome
-            .iter()
-            .map(|&i| shared_suffix[i])
-            .collect();
-        let schedule = reschedule_suffix_with_windows(
-            &shared_inst,
-            &shared_frozen,
-            &order,
-            &shared_windows,
-            t,
-        );
-        let value = objective_value(&inst, &schedule, state.objective);
+        };
+        let resolve_start = trace.as_deref().map(|tr| tr.elapsed_us());
+        let (schedule, outcome) = race_codec(codec, plan);
+        let value = objective_of(&inst, &schedule, state.objective);
         let generations = outcome
             .models
             .iter()
@@ -687,41 +595,78 @@ pub(crate) fn handle_event_hooked(
     })
 }
 
-/// Objective value of `schedule` for the session's instance.
-pub(crate) fn objective_value(
-    inst: &JobShopInstance,
-    schedule: &Schedule,
-    objective: Objective,
-) -> f64 {
-    match objective {
-        Objective::Makespan => schedule.makespan() as f64,
-        Objective::TotalCompletion => schedule
-            .completion_times(inst.n_jobs())
-            .iter()
-            .map(|&c| c as f64)
-            .sum(),
+/// A session's frozen-prefix re-solve: genomes permute the suffix
+/// operations, warm-started from the incumbent order (the identity).
+/// The per-member suffix re-decoder is bit-identical to materialising
+/// via [`reschedule_suffix_with_windows`] (floored at the event time,
+/// which keeps resolve <= repair). Sessions report no decode counters.
+pub(crate) struct SuffixCodec {
+    inst: Arc<JobShopInstance>,
+    frozen: Vec<ScheduledOp>,
+    suffix: Arc<Vec<(usize, usize)>>,
+    windows: Arc<Vec<DownWindow>>,
+    /// The event time: the suffix may not start before it.
+    at: Time,
+    /// Mutated clones of the incumbent order in the initial population.
+    clones: usize,
+}
+
+impl SuffixCodec {
+    /// The re-solve of the `(frozen, suffix)` split (see
+    /// [`frozen_prefix`]) of a repaired schedule at event time `at`.
+    pub(crate) fn new(
+        inst: JobShopInstance,
+        frozen: Vec<ScheduledOp>,
+        suffix: Vec<(usize, usize)>,
+        windows: Vec<DownWindow>,
+        at: Time,
+    ) -> Self {
+        SuffixCodec {
+            inst: Arc::new(inst),
+            frozen,
+            // The identity seed already matches (or beats) repair; a
+            // few mutated clones around it seed the neighbourhood.
+            clones: (suffix.len() / 2).clamp(2, 8),
+            suffix: Arc::new(suffix),
+            windows: Arc::new(windows),
+            at,
+        }
     }
 }
 
-/// The identity permutation `0..k`.
-fn identity(k: usize) -> Vec<usize> {
-    (0..k).collect()
-}
+impl FamilyCodec for SuffixCodec {
+    type Genome = Vec<usize>;
+    type Decoder = SuffixRedecoder;
 
-/// Toolkit over permutations of the suffix indices.
-fn suffix_toolkit(k: usize) -> Toolkit<Vec<usize>> {
-    use ga::crossover::PermCrossover;
-    use ga::mutate::SeqMutation;
-    Toolkit {
-        init: Box::new(move |rng| {
-            use rand::seq::SliceRandom;
-            let mut p: Vec<usize> = (0..k).collect();
-            p.shuffle(rng);
-            p
-        }),
-        crossover: Box::new(|a, b, rng| PermCrossover::Order.apply(a, b, rng)),
-        mutate: Box::new(|g, rng| SeqMutation::Shift.apply(g, rng)),
-        seq_view: Some(Box::new(|g: &Vec<usize>| g.clone())),
+    fn toolkit(&self) -> Toolkit<Vec<usize>> {
+        let k = self.suffix.len();
+        perm_toolkit(k, SeqMutation::Shift).with_warm_start(vec![(0..k).collect()], self.clones)
+    }
+
+    fn decoder(&self) -> SuffixRedecoder {
+        SuffixRedecoder::new(
+            Arc::clone(&self.inst),
+            &self.frozen,
+            Arc::clone(&self.suffix),
+            Arc::clone(&self.windows),
+            self.at,
+        )
+    }
+
+    fn cost(decoder: &mut SuffixRedecoder, perm: &Vec<usize>, objective: Objective) -> f64 {
+        match objective {
+            Objective::Makespan => decoder.makespan(perm) as f64,
+            Objective::TotalCompletion => decoder.completion_sum(perm) as f64,
+        }
+    }
+
+    fn counters(_: &SuffixRedecoder) -> DecodeCounters {
+        DecodeCounters::default()
+    }
+
+    fn materialise(&self, perm: &Vec<usize>) -> Schedule {
+        let order: Vec<(usize, usize)> = perm.iter().map(|&i| self.suffix[i]).collect();
+        reschedule_suffix_with_windows(&self.inst, &self.frozen, &order, &self.windows, self.at)
     }
 }
 
@@ -730,12 +675,13 @@ mod tests {
     use super::*;
     use shop::instance::classic;
     use shop::instance::Op;
+    use shop::Problem;
 
     fn open_state(seed: u64) -> SessionState {
         let inst = classic::ft06().instance;
         let pool = RacerPool::new(2);
         let any = Arc::new(shop::gen::AnyInstance::Job(inst.clone()));
-        let out = crate::solver::solve(
+        let out = crate::solve(
             &pool,
             &any,
             Objective::Makespan,

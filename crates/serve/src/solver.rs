@@ -5,27 +5,34 @@
 //!
 //! The family-generic instance type is [`shop::gen::AnyInstance`];
 //! this module only adds the protocol-level resolution
-//! ([`load_instance`]) and the racing glue ([`solve`]). Because races
-//! run as tasks on a persistent pool (see [`crate::scheduler`]), all
-//! race members share one `Arc`-cached flat operation table
-//! ([`shop::decoder::table`]) built once per solve; each member run
-//! wraps it in its own incremental re-decoder, so consecutive
-//! evaluations of near-identical genomes (mutation traffic) re-time
-//! only the changed suffix. The final winning genome is decoded by the
-//! family's reference decoder and validated — the hot path never gets
-//! to answer unchecked.
+//! ([`load_instance`]) and the racing glue ([`solve_hooked`]). Each
+//! family is a `FamilyCodec` (genome, toolkit, incremental decoder,
+//! reference decoder), and `race_codec` is the one race path over any
+//! codec — the four static families here and the session's
+//! frozen-prefix suffix alike. Because races run as tasks on a
+//! persistent pool (see [`crate::scheduler`]), all race members share
+//! one `Arc`-cached flat operation table ([`shop::decoder::table`])
+//! built once per solve; each member run wraps it in its own
+//! incremental re-decoder, so consecutive evaluations of
+//! near-identical genomes (mutation traffic) re-time only the changed
+//! suffix. The final winning genome is decoded by the family's
+//! reference decoder and validated — the hot path never gets to answer
+//! unchecked.
 
 use crate::obs::phase::PhaseAcc;
 use crate::obs::trace::MemberTrace;
 use crate::portfolio::{
-    plan_lineup, race_core_hooked, run_member, MemberObs, MemberRunner, ModelKind, WatchSink,
+    plan_lineup, race_core_hooked, run_member, MemberObs, MemberRunner, ModelKind, RaceResult,
+    StopRule, WatchSink,
 };
-use crate::portfolio::{RaceHooks, RaceResult, StopRule};
 use crate::protocol::{InstanceSpec, Objective, Solution};
 use crate::scheduler::RacerPool;
+use ga::crossover::{PermCrossover, RepCrossover};
 use ga::dual::DualGenome;
-use ga::engine::{Individual, Toolkit};
+use ga::engine::Toolkit;
+use ga::mutate::SeqMutation;
 use pga::telemetry::RunTelemetry;
+use rand::seq::SliceRandom;
 use shop::decoder::flexible::FlexDecoder;
 use shop::decoder::flow::FlowDecoder;
 use shop::decoder::job::JobDecoder;
@@ -35,6 +42,7 @@ use shop::decoder::table::{
     IncrementalOpenOrder, OpTable,
 };
 use shop::gen::AnyInstance;
+use shop::instance::{FlexibleInstance, FlowShopInstance, JobShopInstance, OpenShopInstance};
 use shop::schedule::Schedule;
 use shop::Problem;
 use std::sync::{Arc, Mutex};
@@ -80,7 +88,13 @@ pub fn load_instance(spec: &InstanceSpec) -> Result<AnyInstance, LoadError> {
     }
 }
 
-fn objective_of(problem: &dyn Problem, schedule: &Schedule, objective: Objective) -> f64 {
+/// Objective value of `schedule` for `problem` — the one evaluator
+/// behind solve answers and session repair/resolve values.
+pub(crate) fn objective_of(
+    problem: &dyn Problem,
+    schedule: &Schedule,
+    objective: Objective,
+) -> f64 {
     match objective {
         Objective::Makespan => schedule.makespan() as f64,
         Objective::TotalCompletion => schedule
@@ -115,18 +129,11 @@ pub struct SolveOutcome {
     /// Summed wall-clock nanoseconds the race members actually ran
     /// (always recorded — see `portfolio::RaceResult::run_ns`).
     pub run_ns: u64,
-    /// Operation count of the solved instance. With the summed member
-    /// evaluations from `models`, this prices the observed cost per
-    /// operation — `run_ns / (evaluations × total_ops)` — which the
-    /// server compares against the calibrated `hpc::calibrate`
-    /// constants for the drift gauge.
-    pub total_ops: u64,
 }
 
-/// Observation hooks for one solve: anytime-timeline tracing, live
-/// watch streaming, and phase profiling. All default off; none of them
-/// changes the search trajectory (same seeds, same stop rule, same
-/// winner — the bit-identity contract the server's watch tests pin).
+/// Observation hooks for one race, threaded from the solver and the
+/// session to every member. All default off; none of them changes the
+/// search trajectory (the bit-identity contract the watch tests pin).
 #[derive(Default, Clone)]
 pub struct SolveHooks {
     /// Record per-member improvement timelines and retained
@@ -135,102 +142,97 @@ pub struct SolveHooks {
     /// Stream start/sample/best/finish frames live.
     pub watch: Option<Arc<dyn WatchSink>>,
     /// Accumulate per-phase search time (select / breed / evaluate /
-    /// migrate from the engines, decode from the evaluation closures).
+    /// migrate from the engines, decode from the codec race's
+    /// evaluation closure).
     pub phases: Option<Arc<PhaseAcc>>,
 }
 
-impl SolveHooks {
-    /// Trace-only hooks (the [`solve_traced`] surface).
-    pub fn traced(traced: bool) -> Self {
-        SolveHooks {
-            traced,
-            ..SolveHooks::default()
-        }
-    }
-
-    fn race_hooks(&self) -> RaceHooks {
-        RaceHooks {
-            traced: self.traced,
-            watch: self.watch.clone(),
-            phases: self.phases.clone(),
-        }
-    }
+/// A problem family as the race sees it: genome, operators, per-member
+/// incremental decoder and reference decoder. Implemented by the four
+/// static families below and `session::SuffixCodec`.
+pub(crate) trait FamilyCodec: Send + Sync + 'static {
+    /// The genome the race evolves.
+    type Genome: Clone + Send + Sync + 'static;
+    /// One member run's incremental decoder state.
+    type Decoder: Send;
+    /// A fresh operator toolkit (one per engine or island).
+    fn toolkit(&self) -> Toolkit<Self::Genome>;
+    /// A fresh incremental decoder for one member run.
+    fn decoder(&self) -> Self::Decoder;
+    /// `genome`'s `objective` value through the member's decoder.
+    fn cost(decoder: &mut Self::Decoder, genome: &Self::Genome, objective: Objective) -> f64;
+    /// The decoder's divergence counters (for the member's telemetry).
+    fn counters(decoder: &Self::Decoder) -> DecodeCounters;
+    /// `genome` decoded by the family's reference decoder.
+    fn materialise(&self, genome: &Self::Genome) -> Schedule;
 }
 
-/// Runs one member with a freshly constructed family toolkit/evaluator
-/// pair — the shared tail of the per-family [`MemberRunner`] closures
-/// below. Each of those closures owns an `Arc` of the instance (so the
-/// racer-pool task is `'static`), pins its family variant, builds the
-/// decoder **once for the member run** on its own stack, and lends the
-/// evaluator to this helper.
-fn run_member_with<G, TF, E>(
-    member: ModelKind,
-    member_seed: u64,
-    stop: &StopRule,
-    obs: &MemberObs,
-    toolkit_factory: TF,
-    eval: E,
-) -> (Individual<G>, pga::telemetry::RunTelemetry, bool)
-where
-    G: Clone + Send + Sync,
-    TF: Fn() -> Toolkit<G> + Sync,
-    E: ga::Evaluator<G> + Sync,
-{
-    run_member(member, member_seed, &toolkit_factory, &eval, stop, obs)
+/// Everything a codec race needs besides the codec itself.
+pub(crate) struct RacePlan<'p> {
+    pub(crate) pool: &'p RacerPool,
+    pub(crate) lineup: Vec<ModelKind>,
+    pub(crate) objective: Objective,
+    pub(crate) seed: u64,
+    pub(crate) deadline: Instant,
+    pub(crate) gen_cap: u64,
+    /// Early-exit target cost (reaching it certifies optimality).
+    pub(crate) target: f64,
+    pub(crate) hooks: SolveHooks,
+}
+
+/// Races `plan.lineup` over `codec`, each member pricing genomes with
+/// its own incremental decoder (timed into the decode phase when
+/// profiled), and materialises the winner through the reference decoder.
+pub(crate) fn race_codec<C: FamilyCodec>(
+    codec: C,
+    plan: RacePlan<'_>,
+) -> (Schedule, RaceResult<C::Genome>) {
+    let codec = Arc::new(codec);
+    let objective = plan.objective;
+    let runner: Arc<MemberRunner<C::Genome>> = {
+        let codec = Arc::clone(&codec);
+        Arc::new(move |member, mseed, stop: &StopRule, obs: &MemberObs| {
+            // The mutex satisfies the `Fn + Sync` evaluator bound and
+            // is uncontended — one evaluator per member run.
+            let decoder = Mutex::new(codec.decoder());
+            let profile = obs.phases;
+            let eval = |genome: &C::Genome| {
+                let mut decoder = decoder.lock().unwrap();
+                let t0 = profile.map(|_| Instant::now());
+                let v = C::cost(&mut decoder, genome, objective);
+                if let (Some(acc), Some(t0)) = (profile, t0) {
+                    acc.add_decode(t0.elapsed());
+                }
+                v
+            };
+            let (best, mut tel, hit) =
+                run_member(member, mseed, &|| codec.toolkit(), &eval, stop, obs);
+            let c = C::counters(&decoder.lock().unwrap());
+            tel.decode_calls = c.decodes;
+            tel.retimed_positions = c.retimed_positions;
+            (best, tel, hit)
+        })
+    };
+    let outcome = race_core_hooked(
+        plan.pool,
+        &plan.lineup,
+        runner,
+        plan.seed,
+        plan.deadline,
+        plan.gen_cap,
+        plan.target,
+        plan.hooks,
+    );
+    (codec.materialise(&outcome.best.genome), outcome)
 }
 
 /// Races the portfolio on `inst` until `deadline` on `pool` and returns
-/// the best schedule found, decoded and ready to validate. `threads`
-/// bounds the number of racing models, `gen_cap` bounds each racer's
-/// generations (the determinism anchor: when every racer hits its cap
-/// before the deadline — which under the pool also requires every
-/// member got a slot in time — the outcome is machine-independent).
-pub fn solve(
-    pool: &RacerPool,
-    inst: &Arc<LoadedInstance>,
-    objective: Objective,
-    seed: u64,
-    deadline: Instant,
-    gen_cap: u64,
-    threads: usize,
-) -> SolveOutcome {
-    solve_traced(
-        pool, inst, objective, seed, deadline, gen_cap, threads, false,
-    )
-}
-
-/// [`solve`] with anytime-timeline recording. With `traced` set, every
-/// race member logs its strictly-improving `(elapsed_us, best)` points
-/// into [`SolveOutcome::timelines`] for the request trace; the search
-/// itself is unchanged (same seeds, same stop rule, same winner).
-#[allow(clippy::too_many_arguments)]
-pub fn solve_traced(
-    pool: &RacerPool,
-    inst: &Arc<LoadedInstance>,
-    objective: Objective,
-    seed: u64,
-    deadline: Instant,
-    gen_cap: u64,
-    threads: usize,
-    traced: bool,
-) -> SolveOutcome {
-    solve_hooked(
-        pool,
-        inst,
-        objective,
-        seed,
-        deadline,
-        gen_cap,
-        threads,
-        SolveHooks::traced(traced),
-    )
-}
-
-/// [`solve`] with the full observation surface (see [`SolveHooks`]):
-/// tracing, live watch streaming, and phase profiling, in any
-/// combination. The decode leg of the profile is timed here, inside
-/// the per-family evaluation closures around the incremental
-/// re-decoders; the other phases come from the engines' phase hooks.
+/// the best schedule found, decoded and ready to validate, with any
+/// combination of the [`SolveHooks`]. `threads` bounds the number of
+/// racing models, `gen_cap` bounds each racer's generations (the
+/// determinism anchor: when every racer hits its cap before the
+/// deadline — which under the pool also requires every member got a
+/// slot in time — the outcome is machine-independent).
 #[allow(clippy::too_many_arguments)]
 pub fn solve_hooked(
     pool: &RacerPool,
@@ -242,236 +244,206 @@ pub fn solve_hooked(
     threads: usize,
     hooks: SolveHooks,
 ) -> SolveOutcome {
-    let lineup = plan_lineup(inst.family(), inst.total_ops(), threads);
-    // Early-exit target: the makespan lower bound certifies optimality;
-    // other objectives have no cheap bound, so they race to the cap.
-    let target = match objective {
-        Objective::Makespan => inst.makespan_lower_bound() as f64,
-        Objective::TotalCompletion => 0.0,
+    let plan = RacePlan {
+        pool,
+        lineup: plan_lineup(inst.family(), inst.total_ops(), threads),
+        objective,
+        seed,
+        deadline,
+        gen_cap,
+        // The makespan lower bound certifies optimality; other
+        // objectives have no cheap bound, so they race to the cap.
+        target: match objective {
+            Objective::Makespan => inst.makespan_lower_bound() as f64,
+            Objective::TotalCompletion => 0.0,
+        },
+        hooks,
     };
     match &**inst {
-        LoadedInstance::Flow(flow) => {
-            let n_jobs = flow.n_jobs();
-            // One flat operation table per solve, shared by every race
-            // member — members used to rebuild their decoder per run.
-            let table = Arc::new(OpTable::from_flow(flow));
-            let runner: Arc<MemberRunner<Vec<usize>>> =
-                Arc::new(move |member, mseed, stop: &StopRule, obs: &MemberObs| {
-                    // Each member owns its incremental decoder state
-                    // (the table behind it stays shared); the mutex
-                    // satisfies the `Fn + Sync` evaluator bound and is
-                    // uncontended — one evaluator per member run.
-                    let inc = Mutex::new(IncrementalFlow::new(Arc::clone(&table)));
-                    // Borrow (not move) the decoder: its divergence
-                    // counters are folded into the member's telemetry
-                    // after the run.
-                    let profile = obs.phases;
-                    let eval = |perm: &Vec<usize>| {
-                        let mut inc = inc.lock().unwrap();
-                        let t0 = profile.map(|_| Instant::now());
-                        let v = match objective {
-                            Objective::Makespan => inc.decode(perm) as f64,
-                            Objective::TotalCompletion => inc.decode_completion_sum(perm) as f64,
-                        };
-                        if let (Some(acc), Some(t0)) = (profile, t0) {
-                            acc.add_decode(t0.elapsed());
-                        }
-                        v
-                    };
-                    let (best, tel, hit) =
-                        run_member_with(member, mseed, stop, obs, || perm_toolkit(n_jobs), eval);
-                    let c = inc.lock().unwrap().counters();
-                    (best, with_decode_counters(tel, c), hit)
-                });
-            let outcome = race_core_hooked(
-                pool,
-                &lineup,
-                runner,
-                seed,
-                deadline,
-                gen_cap,
-                target,
-                hooks.race_hooks(),
-            );
-            // The final answer goes through the reference decoder — the
-            // materialised schedule cross-checks the hot path (validated
-            // in finish's caller tests and the property suite).
-            let decoder = FlowDecoder::new(flow);
-            finish(
-                inst,
-                objective,
-                decoder.schedule(&outcome.best.genome),
-                outcome,
-            )
-        }
-        LoadedInstance::Job(job) => {
-            let ops_per_job: Vec<usize> = (0..job.n_jobs()).map(|j| job.n_ops(j)).collect();
-            let table = Arc::new(OpTable::from_job(job));
-            let runner: Arc<MemberRunner<Vec<usize>>> =
-                Arc::new(move |member, mseed, stop: &StopRule, obs: &MemberObs| {
-                    let inc = Mutex::new(IncrementalJob::new(Arc::clone(&table)));
-                    let profile = obs.phases;
-                    let eval = |seq: &Vec<usize>| {
-                        let mut inc = inc.lock().unwrap();
-                        let t0 = profile.map(|_| Instant::now());
-                        let v = match objective {
-                            Objective::Makespan => inc.decode(seq) as f64,
-                            Objective::TotalCompletion => inc.decode_completion_sum(seq) as f64,
-                        };
-                        if let (Some(acc), Some(t0)) = (profile, t0) {
-                            acc.add_decode(t0.elapsed());
-                        }
-                        v
-                    };
-                    let ops_per_job = ops_per_job.clone();
-                    let (best, tel, hit) = run_member_with(
-                        member,
-                        mseed,
-                        stop,
-                        obs,
-                        move || opseq_toolkit(ops_per_job.clone()),
-                        eval,
-                    );
-                    let c = inc.lock().unwrap().counters();
-                    (best, with_decode_counters(tel, c), hit)
-                });
-            let outcome = race_core_hooked(
-                pool,
-                &lineup,
-                runner,
-                seed,
-                deadline,
-                gen_cap,
-                target,
-                hooks.race_hooks(),
-            );
-            let decoder = JobDecoder::new(job);
-            finish(
-                inst,
-                objective,
-                decoder.semi_active(&outcome.best.genome),
-                outcome,
-            )
-        }
-        LoadedInstance::Open(open) => {
-            let (n, m) = (open.n_jobs(), open.n_machines());
-            let table = Arc::new(OpTable::from_open(open));
-            let runner: Arc<MemberRunner<Vec<usize>>> =
-                Arc::new(move |member, mseed, stop: &StopRule, obs: &MemberObs| {
-                    let inc = Mutex::new(IncrementalOpenOrder::new(Arc::clone(&table)));
-                    let profile = obs.phases;
-                    let eval = |perm: &Vec<usize>| {
-                        let mut inc = inc.lock().unwrap();
-                        let t0 = profile.map(|_| Instant::now());
-                        let v = match objective {
-                            Objective::Makespan => inc.decode(perm) as f64,
-                            Objective::TotalCompletion => inc.decode_completion_sum(perm) as f64,
-                        };
-                        if let (Some(acc), Some(t0)) = (profile, t0) {
-                            acc.add_decode(t0.elapsed());
-                        }
-                        v
-                    };
-                    let (best, tel, hit) =
-                        run_member_with(member, mseed, stop, obs, || perm_toolkit(n * m), eval);
-                    let c = inc.lock().unwrap().counters();
-                    (best, with_decode_counters(tel, c), hit)
-                });
-            let outcome = race_core_hooked(
-                pool,
-                &lineup,
-                runner,
-                seed,
-                deadline,
-                gen_cap,
-                target,
-                hooks.race_hooks(),
-            );
-            let decoder = OpenDecoder::new(open);
-            let order: Vec<(usize, usize)> = outcome
-                .best
-                .genome
-                .iter()
-                .map(|&v| (v / m, v % m))
-                .collect();
-            let schedule = decoder.by_op_order(&order);
-            finish(inst, objective, schedule, outcome)
-        }
-        LoadedInstance::Flexible(flex) => {
-            let ops_per_job: Vec<usize> = (0..flex.n_jobs()).map(|j| flex.n_ops(j)).collect();
-            let max_choices = (0..flex.n_jobs())
-                .flat_map(|j| (0..flex.n_ops(j)).map(move |s| flex.op(j, s).choices.len()))
-                .max()
-                .unwrap_or(1);
-            let n_jobs = flex.n_jobs();
-            let table = Arc::new(FlexTable::from_flexible(flex));
-            let runner: Arc<MemberRunner<DualGenome>> =
-                Arc::new(move |member, mseed, stop: &StopRule, obs: &MemberObs| {
-                    let inc = Mutex::new(IncrementalFlex::new(Arc::clone(&table)));
-                    let profile = obs.phases;
-                    let eval = |g: &DualGenome| {
-                        let mut inc = inc.lock().unwrap();
-                        let t0 = profile.map(|_| Instant::now());
-                        let v = match objective {
-                            Objective::Makespan => inc.decode(&g.assign, &g.seq) as f64,
-                            Objective::TotalCompletion => {
-                                inc.decode_completion_sum(&g.assign, &g.seq) as f64
-                            }
-                        };
-                        if let (Some(acc), Some(t0)) = (profile, t0) {
-                            acc.add_decode(t0.elapsed());
-                        }
-                        v
-                    };
-                    let ops_per_job = ops_per_job.clone();
-                    let (best, tel, hit) = run_member_with(
-                        member,
-                        mseed,
-                        stop,
-                        obs,
-                        move || dual_toolkit(ops_per_job.clone(), max_choices, n_jobs),
-                        eval,
-                    );
-                    let c = inc.lock().unwrap().counters();
-                    (best, with_decode_counters(tel, c), hit)
-                });
-            let outcome = race_core_hooked(
-                pool,
-                &lineup,
-                runner,
-                seed,
-                deadline,
-                gen_cap,
-                target,
-                hooks.race_hooks(),
-            );
-            let schedule = FlexDecoder::new(flex)
-                .decode(&outcome.best.genome.assign, &outcome.best.genome.seq);
-            finish(inst, objective, schedule, outcome)
+        LoadedInstance::Flow(f) => finish(inst, Codec::new(f, OpTable::from_flow), plan),
+        LoadedInstance::Job(j) => finish(inst, Codec::new(j, OpTable::from_job), plan),
+        LoadedInstance::Open(o) => finish(inst, Codec::new(o, OpTable::from_open), plan),
+        LoadedInstance::Flexible(f) => finish(inst, Codec::new(f, FlexTable::from_flexible), plan),
+    }
+}
+
+/// A static family's codec: its instance (for the toolkit and the
+/// reference decoder) and one flat table shared by every member's
+/// incremental decoder.
+struct Codec<I, T> {
+    inst: I,
+    table: Arc<T>,
+}
+
+impl<I: Clone, T> Codec<I, T> {
+    fn new(inst: &I, table: fn(&I) -> T) -> Self {
+        Codec {
+            inst: inst.clone(),
+            table: Arc::new(table(inst)),
         }
     }
 }
 
-/// Folds an incremental decoder's divergence counters into a member's
-/// run telemetry (see [`shop::decoder::table::DecodeCounters`]): how
-/// many re-decodes ran and how many positions they actually re-timed.
-fn with_decode_counters(mut tel: RunTelemetry, c: DecodeCounters) -> RunTelemetry {
-    tel.decode_calls = c.decodes;
-    tel.retimed_positions = c.retimed_positions;
-    tel
+/// Operations per job of `inst`.
+fn ops_per_job(inst: &dyn Problem) -> Vec<usize> {
+    (0..inst.n_jobs()).map(|j| inst.n_ops(j)).collect()
 }
 
-fn finish<G>(
-    inst: &LoadedInstance,
-    objective: Objective,
-    schedule: Schedule,
-    outcome: RaceResult<G>,
-) -> SolveOutcome {
-    let value = objective_of(inst.problem(), &schedule, objective);
+/// Flow shops: job permutations.
+impl FamilyCodec for Codec<FlowShopInstance, OpTable> {
+    type Genome = Vec<usize>;
+    type Decoder = IncrementalFlow;
+
+    fn toolkit(&self) -> Toolkit<Vec<usize>> {
+        perm_toolkit(self.inst.n_jobs(), SeqMutation::Swap)
+    }
+
+    fn decoder(&self) -> IncrementalFlow {
+        IncrementalFlow::new(Arc::clone(&self.table))
+    }
+
+    fn cost(decoder: &mut IncrementalFlow, perm: &Vec<usize>, objective: Objective) -> f64 {
+        match objective {
+            Objective::Makespan => decoder.decode(perm) as f64,
+            Objective::TotalCompletion => decoder.decode_completion_sum(perm) as f64,
+        }
+    }
+
+    fn counters(decoder: &IncrementalFlow) -> DecodeCounters {
+        decoder.counters()
+    }
+
+    fn materialise(&self, perm: &Vec<usize>) -> Schedule {
+        FlowDecoder::new(&self.inst).schedule(perm)
+    }
+}
+
+/// Job shops: operation sequences (permutations with repetition),
+/// materialised as semi-active schedules.
+impl FamilyCodec for Codec<JobShopInstance, OpTable> {
+    type Genome = Vec<usize>;
+    type Decoder = IncrementalJob;
+
+    fn toolkit(&self) -> Toolkit<Vec<usize>> {
+        let ops_per_job = ops_per_job(&self.inst);
+        let n_jobs = ops_per_job.len();
+        Toolkit {
+            init: Box::new(move |rng| {
+                let mut seq = Vec::new();
+                for (j, &k) in ops_per_job.iter().enumerate() {
+                    seq.extend(std::iter::repeat_n(j, k));
+                }
+                seq.shuffle(rng);
+                seq
+            }),
+            crossover: Box::new(move |a, b, rng| RepCrossover::JobOrder.apply(a, b, n_jobs, rng)),
+            mutate: Box::new(|g, rng| SeqMutation::Swap.apply(g, rng)),
+            seq_view: Some(Box::new(|g: &Vec<usize>| g.clone())),
+        }
+    }
+
+    fn decoder(&self) -> IncrementalJob {
+        IncrementalJob::new(Arc::clone(&self.table))
+    }
+
+    fn cost(decoder: &mut IncrementalJob, seq: &Vec<usize>, objective: Objective) -> f64 {
+        match objective {
+            Objective::Makespan => decoder.decode(seq) as f64,
+            Objective::TotalCompletion => decoder.decode_completion_sum(seq) as f64,
+        }
+    }
+
+    fn counters(decoder: &IncrementalJob) -> DecodeCounters {
+        decoder.counters()
+    }
+
+    fn materialise(&self, seq: &Vec<usize>) -> Schedule {
+        JobDecoder::new(&self.inst).semi_active(seq)
+    }
+}
+
+/// Open shops: permutations of the `n × m` operations, gene `v` being
+/// operation `(v / m, v % m)`.
+impl FamilyCodec for Codec<OpenShopInstance, OpTable> {
+    type Genome = Vec<usize>;
+    type Decoder = IncrementalOpenOrder;
+
+    fn toolkit(&self) -> Toolkit<Vec<usize>> {
+        let n_ops = self.inst.n_jobs() * self.inst.n_machines();
+        perm_toolkit(n_ops, SeqMutation::Swap)
+    }
+
+    fn decoder(&self) -> IncrementalOpenOrder {
+        IncrementalOpenOrder::new(Arc::clone(&self.table))
+    }
+
+    fn cost(decoder: &mut IncrementalOpenOrder, perm: &Vec<usize>, objective: Objective) -> f64 {
+        match objective {
+            Objective::Makespan => decoder.decode(perm) as f64,
+            Objective::TotalCompletion => decoder.decode_completion_sum(perm) as f64,
+        }
+    }
+
+    fn counters(decoder: &IncrementalOpenOrder) -> DecodeCounters {
+        decoder.counters()
+    }
+
+    fn materialise(&self, perm: &Vec<usize>) -> Schedule {
+        let m = self.inst.n_machines();
+        let order: Vec<(usize, usize)> = perm.iter().map(|&v| (v / m, v % m)).collect();
+        OpenDecoder::new(&self.inst).by_op_order(&order)
+    }
+}
+
+/// Flexible shops: dual assignment + sequencing genomes.
+impl FamilyCodec for Codec<FlexibleInstance, FlexTable> {
+    type Genome = DualGenome;
+    type Decoder = IncrementalFlex;
+
+    fn toolkit(&self) -> Toolkit<DualGenome> {
+        let inst = &self.inst;
+        let max_choices = (0..inst.n_jobs())
+            .flat_map(|j| (0..inst.n_ops(j)).map(move |s| inst.op(j, s).choices.len()))
+            .max()
+            .unwrap_or(1);
+        let ops_per_job = ops_per_job(inst);
+        let n_jobs = ops_per_job.len();
+        Toolkit {
+            init: Box::new(move |rng| DualGenome::random(&ops_per_job, max_choices, rng)),
+            crossover: Box::new(move |a, b, rng| DualGenome::crossover(a, b, n_jobs, rng)),
+            mutate: Box::new(move |g, rng| g.mutate(max_choices, rng)),
+            seq_view: Some(Box::new(|g: &DualGenome| g.seq.clone())),
+        }
+    }
+
+    fn decoder(&self) -> IncrementalFlex {
+        IncrementalFlex::new(Arc::clone(&self.table))
+    }
+
+    fn cost(decoder: &mut IncrementalFlex, g: &DualGenome, objective: Objective) -> f64 {
+        match objective {
+            Objective::Makespan => decoder.decode(&g.assign, &g.seq) as f64,
+            Objective::TotalCompletion => decoder.decode_completion_sum(&g.assign, &g.seq) as f64,
+        }
+    }
+
+    fn counters(decoder: &IncrementalFlex) -> DecodeCounters {
+        decoder.counters()
+    }
+
+    fn materialise(&self, g: &DualGenome) -> Schedule {
+        FlexDecoder::new(&self.inst).decode(&g.assign, &g.seq)
+    }
+}
+
+/// Races `codec` under `plan` and renders the answer for `inst`.
+fn finish<C: FamilyCodec>(inst: &LoadedInstance, codec: C, plan: RacePlan<'_>) -> SolveOutcome {
+    let objective = plan.objective;
+    let (schedule, outcome) = race_codec(codec, plan);
     SolveOutcome {
         solution: Solution {
             objective,
-            value,
+            value: objective_of(inst.problem(), &schedule, objective),
             makespan: schedule.makespan(),
             model: outcome.winner,
             schedule: schedule.ops,
@@ -481,57 +453,21 @@ fn finish<G>(
         pool_wait: outcome.pool_wait,
         timelines: outcome.timelines,
         run_ns: outcome.run_ns,
-        total_ops: inst.total_ops() as u64,
     }
 }
 
-/// Toolkit over strict permutations of `0..n` (flow shops, open-shop
-/// operation orders).
-fn perm_toolkit(n: usize) -> Toolkit<Vec<usize>> {
-    use ga::crossover::PermCrossover;
-    use ga::mutate::SeqMutation;
+/// Toolkit over permutations of `0..n`: order crossover plus
+/// `mutation` (flow shops, open-shop orders, session suffix orders).
+pub(crate) fn perm_toolkit(n: usize, mutation: SeqMutation) -> Toolkit<Vec<usize>> {
     Toolkit {
         init: Box::new(move |rng| {
-            use rand::seq::SliceRandom;
             let mut p: Vec<usize> = (0..n).collect();
             p.shuffle(rng);
             p
         }),
         crossover: Box::new(|a, b, rng| PermCrossover::Order.apply(a, b, rng)),
-        mutate: Box::new(|g, rng| SeqMutation::Swap.apply(g, rng)),
+        mutate: Box::new(move |g, rng| mutation.apply(g, rng)),
         seq_view: Some(Box::new(|g: &Vec<usize>| g.clone())),
-    }
-}
-
-/// Toolkit over operation sequences (permutation with repetition) for
-/// job shops.
-fn opseq_toolkit(ops_per_job: Vec<usize>) -> Toolkit<Vec<usize>> {
-    use ga::crossover::RepCrossover;
-    use ga::mutate::SeqMutation;
-    let n_jobs = ops_per_job.len();
-    Toolkit {
-        init: Box::new(move |rng| {
-            use rand::seq::SliceRandom;
-            let mut seq = Vec::new();
-            for (j, &k) in ops_per_job.iter().enumerate() {
-                seq.extend(std::iter::repeat_n(j, k));
-            }
-            seq.shuffle(rng);
-            seq
-        }),
-        crossover: Box::new(move |a, b, rng| RepCrossover::JobOrder.apply(a, b, n_jobs, rng)),
-        mutate: Box::new(|g, rng| SeqMutation::Swap.apply(g, rng)),
-        seq_view: Some(Box::new(|g: &Vec<usize>| g.clone())),
-    }
-}
-
-/// Toolkit over dual assignment+sequencing genomes for flexible shops.
-fn dual_toolkit(ops_per_job: Vec<usize>, max_choices: usize, n_jobs: usize) -> Toolkit<DualGenome> {
-    Toolkit {
-        init: Box::new(move |rng| DualGenome::random(&ops_per_job, max_choices, rng)),
-        crossover: Box::new(move |a, b, rng| DualGenome::crossover(a, b, n_jobs, rng)),
-        mutate: Box::new(move |g, rng| g.mutate(max_choices, rng)),
-        seq_view: Some(Box::new(|g: &DualGenome| g.seq.clone())),
     }
 }
 
@@ -588,7 +524,7 @@ mod tests {
             (InstanceSpec::Named("flex03".into()), 60),
         ] {
             let inst = Arc::new(load_instance(&spec).unwrap());
-            let out = solve(&pool, &inst, Objective::Makespan, 1, deadline(), cap, 2);
+            let out = crate::solve(&pool, &inst, Objective::Makespan, 1, deadline(), cap, 2);
             let schedule = Schedule::new(out.solution.schedule.clone());
             assert!(
                 inst.validate(&schedule).is_ok(),
@@ -603,7 +539,7 @@ mod tests {
     fn total_completion_objective_is_consistent() {
         let pool = RacerPool::new(1);
         let inst = Arc::new(load_instance(&InstanceSpec::Named("flow05".into())).unwrap());
-        let out = solve(
+        let out = crate::solve(
             &pool,
             &inst,
             Objective::TotalCompletion,
@@ -625,7 +561,7 @@ mod tests {
     fn solve_is_deterministic_when_caps_bind() {
         let pool = RacerPool::new(3);
         let inst = Arc::new(load_instance(&InstanceSpec::Named("ft06".into())).unwrap());
-        let run = || solve(&pool, &inst, Objective::Makespan, 42, deadline(), 150, 3);
+        let run = || crate::solve(&pool, &inst, Objective::Makespan, 42, deadline(), 150, 3);
         let a = run();
         let b = run();
         assert_eq!(a.solution.schedule, b.solution.schedule);
@@ -644,7 +580,7 @@ mod tests {
         let inst = Arc::new(load_instance(&InstanceSpec::Named("ft06".into())).unwrap());
         // Uncapped generations, unreachable target, tiny deadline: the
         // clock is the only stopping criterion that can fire.
-        let out = solve(
+        let out = crate::solve(
             &pool,
             &inst,
             Objective::Makespan,
