@@ -5,7 +5,8 @@
 //! WAL IO errors degrade to memory-only service, malformed input gets
 //! a wire error, and a worker panic is an isolated, counted event, not
 //! an answer the client never receives. In the configured `paths`
-//! (today `serve::server`, `serve::wal`, `serve::json`), each
+//! (today `serve::server` and its submodules, `serve::wal`,
+//! `serve::json`), each
 //! `.unwrap()` / `.expect(…)` / direct index `expr[…]` / panicking
 //! macro must carry a `// panic-safe:` comment stating *why it cannot
 //! fire* — on the same line, or anywhere in the contiguous block of

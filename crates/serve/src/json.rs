@@ -96,6 +96,21 @@ impl Json {
         }
     }
 
+    /// `self` with `fields` spliced into an object at field position
+    /// `at` (`usize::MAX` appends); any other value comes back as is.
+    /// Every body decoration goes through here: a batch item's
+    /// `index`, a watch stream's `frame`, a request's `trace`.
+    pub(crate) fn with_fields<const N: usize>(self, at: usize, fields: [(&str, Json); N]) -> Json {
+        match self {
+            Json::Obj(mut obj) => {
+                let at = at.min(obj.len());
+                obj.splice(at..at, fields.map(|(k, v)| (k.to_string(), v)));
+                Json::Obj(obj)
+            }
+            other => other,
+        }
+    }
+
     /// Compact single-line encoding (no whitespace), suitable for the
     /// line-delimited protocol.
     pub fn encode(&self) -> String {

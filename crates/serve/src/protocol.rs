@@ -954,6 +954,23 @@ fn telemetry_to_json(t: &RequestTelemetry) -> Json {
     ])
 }
 
+/// The envelope every response body shares: the request's `id` when it
+/// carried one, then `status`; [`Envelope::with`] appends the fields.
+pub(crate) struct Envelope<'a>(pub(crate) Option<&'a str>, pub(crate) &'a str);
+
+impl Envelope<'_> {
+    /// The response body: the envelope, then `fields` in order.
+    pub(crate) fn with<const N: usize>(self, fields: [(&str, Json); N]) -> Json {
+        let Envelope(id, status) = self;
+        let id = id.map(|id| ("id", Json::from(id)));
+        let fields = id
+            .into_iter()
+            .chain([("status", status.into())])
+            .chain(fields);
+        Json::Obj(fields.map(|(k, v)| (k.to_string(), v)).collect())
+    }
+}
+
 /// Builds a successful solve response body (also used verbatim as a
 /// batch item entry and a generate response's `solution` field).
 pub fn solution_json(
@@ -962,40 +979,20 @@ pub fn solution_json(
     cached: bool,
     telemetry: &RequestTelemetry,
 ) -> Json {
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".into(), id.into()));
-    }
-    fields.push(("status".into(), "ok".into()));
-    fields.push(("objective".into(), sol.objective.name().into()));
-    fields.push(("value".into(), sol.value.into()));
-    fields.push(("makespan".into(), sol.makespan.into()));
-    fields.push(("model".into(), sol.model.as_str().into()));
-    fields.push(("cached".into(), cached.into()));
-    fields.push(("schedule".into(), schedule_to_json(&sol.schedule)));
-    fields.push(("telemetry".into(), telemetry_to_json(telemetry)));
-    Json::Obj(fields)
-}
-
-/// Encodes a successful solve response line.
-pub fn encode_solution(
-    id: Option<&str>,
-    sol: &Solution,
-    cached: bool,
-    telemetry: &RequestTelemetry,
-) -> String {
-    solution_json(id, sol, cached, telemetry).encode()
+    Envelope(id, "ok").with([
+        ("objective", sol.objective.name().into()),
+        ("value", sol.value.into()),
+        ("makespan", sol.makespan.into()),
+        ("model", sol.model.as_str().into()),
+        ("cached", cached.into()),
+        ("schedule", schedule_to_json(&sol.schedule)),
+        ("telemetry", telemetry_to_json(telemetry)),
+    ])
 }
 
 /// Builds an error response body (also used as a batch item entry).
 pub fn error_json(id: Option<&str>, message: &str) -> Json {
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".into(), id.into()));
-    }
-    fields.push(("status".into(), "error".into()));
-    fields.push(("error".into(), message.into()));
-    Json::Obj(fields)
+    Envelope(id, "error").with([("error", message.into())])
 }
 
 /// Builds the `busy` backpressure response: the racer-pool queue is
@@ -1007,18 +1004,12 @@ pub fn error_json(id: Option<&str>, message: &str) -> Json {
 /// retrying an identical request after another client's solve lands
 /// can succeed without racing at all.
 pub fn busy_json(id: Option<&str>, queue_depth: u64, limit: u64) -> Json {
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".into(), id.into()));
-    }
-    fields.push(("status".into(), "error".into()));
-    fields.push(("code".into(), "busy".into()));
-    fields.push((
-        "error".into(),
-        format!("server busy: {queue_depth} race tasks queued (admission limit {limit})").into(),
-    ));
-    fields.push(("queue_depth".into(), queue_depth.into()));
-    Json::Obj(fields)
+    let message = format!("server busy: {queue_depth} race tasks queued (admission limit {limit})");
+    Envelope(id, "error").with([
+        ("code", "busy".into()),
+        ("error", message.into()),
+        ("queue_depth", queue_depth.into()),
+    ])
 }
 
 /// Encodes an error response line.
@@ -1422,10 +1413,11 @@ mod tests {
             model: "island".into(),
             schedule: vec![],
         };
-        let t = RequestTelemetry::default();
-        assert_eq!(
-            encode_solution(Some("a"), &sol, false, &t),
-            encode_solution(Some("a"), &sol, false, &t)
+        // The shared envelope: the echoed id, then status, then fields.
+        let body = solution_json(Some("a"), &sol, false, &RequestTelemetry::default()).encode();
+        assert!(
+            body.starts_with(r#"{"id":"a","status":"ok","objective":"makespan","value":55"#),
+            "{body}"
         );
         let line = encode_error(Some("a"), "boom");
         assert!(line.contains("\"status\":\"error\""));

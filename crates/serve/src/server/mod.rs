@@ -21,6 +21,11 @@
 //! timeout so idle keep-alive connections observe shutdown promptly.
 //! Shutdown is graceful: the acceptor stops accepting, workers finish
 //! the connection they hold and drain the queue, then exit.
+//!
+//! Every request line goes through one dispatcher, `handle_line`, and
+//! every solve through one entry, `solve_core`. A `watch` request runs
+//! its plain twin's body with a sink hooked into the race (the watch
+//! hub lives in `watch.rs`, the session handlers in `sessions.rs`).
 
 use crate::cache::{CacheKey, CachedSolve, ShardedCache};
 use crate::json::{obj, Json};
@@ -30,21 +35,24 @@ use crate::obs::trace::{Trace, TraceRing};
 use crate::portfolio::WatchSink;
 use crate::protocol::{
     busy_json, encode_error, error_json, parse_request, solution_json, BatchItem, BatchRequest,
-    BatchSource, GenerateRequest, Objective, Request, SessionEventRequest, SessionOpenRequest,
-    SessionRef, Solution, SolveRequest, WatchTarget,
+    BatchSource, Envelope, GenerateRequest, InstanceSpec, Objective, Request, Solution,
+    SolveRequest, WatchTarget,
 };
 use crate::scheduler::RacerPool;
-use crate::session::{SessionConfig, SessionGauges, SessionRegistry, SessionState};
+use crate::session::{SessionConfig, SessionGauges, SessionRegistry};
 use crate::solver::{load_instance, solve_hooked, LoadedInstance, SolveHooks};
 use pga::telemetry::RequestTelemetry;
 use shop::schedule::Schedule;
-use shop::Problem;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+use watch::WatchChannel;
+
+mod sessions;
+mod watch;
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -174,6 +182,20 @@ impl ServeConfig {
             self.wal_snapshot_every = 64;
         }
         self
+    }
+
+    /// A request's effective budget and the absolute deadline it
+    /// implies: `requested_ms` (0 = `default_ms`) clamped to
+    /// `max_deadline_ms`, counted from `receipt`, the instant the
+    /// request line was received. Parsing, instance loading, watch
+    /// registration and waiting for a session lock all spend the
+    /// client's budget.
+    fn deadline(&self, receipt: Instant, requested_ms: u64, default_ms: u64) -> (u64, Instant) {
+        let ms = match requested_ms {
+            0 => default_ms,
+            d => d.min(self.max_deadline_ms),
+        };
+        (ms, receipt + Duration::from_millis(ms))
     }
 }
 
@@ -535,12 +557,12 @@ impl ServeMetrics {
         }
     }
 
-    /// The pre-registered counter for a static label value; `None` for
-    /// a value outside the set fixed at bind.
-    fn labeled(set: &[(&'static str, Arc<Counter>)], value: &str) -> Option<Arc<Counter>> {
-        set.iter()
-            .find(|(label, _)| *label == value)
-            .map(|(_, c)| Arc::clone(c))
+    /// Counts one event under a static label value; a value outside the
+    /// set fixed at bind counts nowhere.
+    fn count(set: &[(&'static str, Arc<Counter>)], value: &str) {
+        if let Some((_, c)) = set.iter().find(|(label, _)| *label == value) {
+            c.inc();
+        }
     }
 
     /// Folds one profiled race into the family's phase histograms and
@@ -735,44 +757,20 @@ impl Service {
             match wal.recover_all() {
                 Ok(recovered) => {
                     for rec in recovered {
-                        if let Some(salvaged) = &rec.salvaged {
-                            eprintln!("[serve::wal] {}: {salvaged}", rec.session);
-                        }
-                        shared.stats.wal_replays.add(rec.records);
-                        let id = rec.session;
-                        shared.sessions.restore(&id, rec.state, rec.ttl_ms);
+                        sessions::restore(rec, &shared);
                     }
                 }
                 Err(e) => eprintln!("[serve::wal] recovery scan failed: {e}"),
             }
         }
-        let mut threads = Vec::with_capacity(shared.config.workers + 2);
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("serve-acceptor".into())
-                    .spawn(move || acceptor_loop(listener, &shared))
-                    .expect("spawn acceptor"), // panic-safe: bind-time startup, before any request
-            );
-        }
+        let mut threads = vec![spawn("serve-acceptor".into(), &shared, move |shared| {
+            acceptor_loop(listener, shared)
+        })];
         for i in 0..shared.config.workers {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker"), // panic-safe: bind-time startup, before any request
-            );
+            threads.push(spawn(format!("serve-worker-{i}"), &shared, worker_loop));
         }
         if shared.config.metrics_interval_ms > 0 {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("serve-metrics".into())
-                    .spawn(move || metrics_summary_loop(&shared))
-                    .expect("spawn metrics summary"), // panic-safe: bind-time startup, before any request
-            );
+            threads.push(spawn("serve-metrics".into(), &shared, metrics_summary_loop));
         }
         Ok(Service {
             addr,
@@ -852,6 +850,19 @@ impl Drop for Service {
             self.join_threads();
         }
     }
+}
+
+/// Spawns a named service thread running `body` over the shared state.
+fn spawn(
+    name: String,
+    shared: &Arc<Shared>,
+    body: impl FnOnce(&Shared) + Send + 'static,
+) -> std::thread::JoinHandle<()> {
+    let shared = Arc::clone(shared);
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || body(&shared))
+        .expect("spawn service thread") // panic-safe: bind-time startup, before any request
 }
 
 /// Prints a one-line service summary to stderr every
@@ -1081,27 +1092,46 @@ fn respond(
     let text = String::from_utf8_lossy(buf).trim().to_string();
     buf.clear();
     let wait = queue_wait.take().unwrap_or(Duration::ZERO);
-    match handle_line(&text, wait, shared) {
+    match handle_line(&text, wait, writer, shared)? {
         LineOutcome::Reply(response, stop) => {
-            writeln!(writer, "{response}")?;
-            writer.flush()?;
+            write_lines(writer, &[response])?;
             Ok(!stop)
         }
-        LineOutcome::Watch(target) => {
-            handle_watch(writer, &target, wait, shared)?;
-            Ok(true)
-        }
+        LineOutcome::Streamed => Ok(true),
     }
 }
 
-/// What [`handle_line`] decided: either an ordinary one-line reply, or
-/// a watch subscription the connection loop must stream itself (the
-/// streaming path needs to own the socket for the race's duration).
+/// Writes response lines and flushes them.
+fn write_lines(writer: &mut TcpStream, lines: &[impl std::fmt::Display]) -> std::io::Result<()> {
+    for line in lines {
+        writeln!(writer, "{line}")?;
+    }
+    writer.flush()
+}
+
+/// What [`handle_line`] did with a request: a one-line reply for the
+/// connection loop to write, or a `watch` stream it wrote itself.
 enum LineOutcome {
     /// The response line, and whether the service should stop.
     Reply(String, bool),
-    /// A parsed `watch` request; [`handle_watch`] takes over the socket.
-    Watch(Box<WatchTarget>),
+    /// A watch stream, terminal frame included, went out on the socket.
+    Streamed,
+}
+
+/// A plain reply that keeps the service running.
+fn reply(line: String) -> std::io::Result<LineOutcome> {
+    Ok(LineOutcome::Reply(line, false))
+}
+
+/// One request line as [`handle_line`] received it.
+struct Received {
+    /// When the line was received; every request deadline counts from
+    /// here (see [`ServeConfig::deadline`]).
+    at: Instant,
+    /// Time spent parsing the line: a traced request's `parse` span.
+    parse_us: u64,
+    /// Connection queue wait attributed to this request.
+    queue_wait: Duration,
 }
 
 /// The `serve_requests_by_type_total` label of a parse outcome.
@@ -1124,34 +1154,36 @@ fn request_type_label(parsed: &Result<Request, crate::protocol::ProtocolError>) 
     }
 }
 
-/// Handles one request line; ordinary requests come back as a
-/// [`LineOutcome::Reply`] (response line plus whether the service
-/// should stop), `watch` subscriptions as [`LineOutcome::Watch`] for
-/// the connection loop to stream.
-fn handle_line(text: &str, queue_wait: Duration, shared: &Shared) -> LineOutcome {
-    let started = Instant::now();
+/// The request dispatcher: handles one request line and observes its
+/// latency in `serve_request_us`, the one place every request kind is
+/// timed. Ordinary requests come back as a [`LineOutcome::Reply`];
+/// a `watch` runs the same body as its plain twin, with a sink hooked
+/// into the race, and streams on `writer` (see [`watch::watched`]).
+fn handle_line(
+    text: &str,
+    queue_wait: Duration,
+    writer: &mut TcpStream,
+    shared: &Shared,
+) -> std::io::Result<LineOutcome> {
+    let at = Instant::now();
     shared.stats.requests.inc();
     let parsed = parse_request(text);
-    let parse_us = started.elapsed().as_micros() as u64;
-    if let Some(c) = ServeMetrics::labeled(&shared.metrics.by_type, request_type_label(&parsed)) {
-        c.inc();
-    }
-    let answer = match parsed {
-        Ok(Request::Watch(target)) => {
-            // Streamed on the caller's socket; its latency is observed
-            // by handle_watch when the final frame lands.
-            return LineOutcome::Watch(target);
-        }
+    let rx = Received {
+        at,
+        parse_us: at.elapsed().as_micros() as u64,
+        queue_wait,
+    };
+    ServeMetrics::count(&shared.metrics.by_type, request_type_label(&parsed));
+    let outcome = match parsed {
         Err(e) => {
             shared.stats.errors.inc();
-            (encode_error(None, &e.to_string()), false)
+            reply(encode_error(None, &e.to_string()))
         }
         Ok(Request::Stats) => {
             let s = shared.stats.snapshot();
             let sg = shared.sessions.gauges();
-            let cache_len = shared.cache.len() as u64;
-            let body = obj([
-                ("status", "ok".into()),
+            let config = &shared.config;
+            let body = Envelope(None, "ok").with([
                 ("requests", s.requests.into()),
                 ("solved", s.solved.into()),
                 ("cache_hits", s.cache_hits.into()),
@@ -1160,14 +1192,11 @@ fn handle_line(text: &str, queue_wait: Duration, shared: &Shared) -> LineOutcome
                 ("busy_rejections", s.busy_rejections.into()),
                 ("queue_wait_us", s.queue_wait_us.into()),
                 ("pool_wait_us", s.pool_wait_us.into()),
-                ("cache_len", cache_len.into()),
-                ("workers", (shared.config.workers as u64).into()),
+                ("cache_len", (shared.cache.len() as u64).into()),
+                ("workers", (config.workers as u64).into()),
                 ("racer_pool", (shared.pool.size() as u64).into()),
                 ("queue_depth", (shared.pool.queue_depth() as u64).into()),
-                (
-                    "max_queue_depth",
-                    (shared.config.max_queue_depth as u64).into(),
-                ),
+                ("max_queue_depth", (config.max_queue_depth as u64).into()),
                 ("sessions_open", sg.open.into()),
                 ("sessions_opened", sg.opened.into()),
                 ("sessions_closed", sg.closed.into()),
@@ -1180,7 +1209,7 @@ fn handle_line(text: &str, queue_wait: Duration, shared: &Shared) -> LineOutcome
                 ("sessions_recovered", sg.recovered.into()),
                 ("wal_appends", s.wal_appends.into()),
                 ("wal_replays", s.wal_replays.into()),
-                ("max_sessions", (shared.config.max_sessions as u64).into()),
+                ("max_sessions", (config.max_sessions as u64).into()),
                 (
                     "uptime_ms",
                     (shared.started.elapsed().as_millis() as u64).into(),
@@ -1197,16 +1226,15 @@ fn handle_line(text: &str, queue_wait: Duration, shared: &Shared) -> LineOutcome
                 ),
                 ("version", env!("CARGO_PKG_VERSION").into()),
             ]);
-            (body.encode(), false)
+            reply(body.encode())
         }
         Ok(Request::Metrics) => {
             shared.refresh_gauges();
-            let body = obj([
-                ("status", "ok".into()),
+            let body = Envelope(None, "ok").with([
                 ("json", shared.registry.expose_json()),
                 ("text", shared.registry.expose_text().into()),
             ]);
-            (body.encode(), false)
+            reply(body.encode())
         }
         Ok(Request::TraceDump {
             limit,
@@ -1236,52 +1264,81 @@ fn handle_line(text: &str, queue_wait: Duration, shared: &Shared) -> LineOutcome
                 // keep the most recent `limit` matches.
                 traces.drain(..traces.len() - limit);
             }
-            let body = obj([
-                ("status", "ok".into()),
+            let body = Envelope(None, "ok").with([
                 ("count", (traces.len() as u64).into()),
                 ("capacity", (shared.traces.capacity() as u64).into()),
                 ("traces", Json::Arr(traces)),
             ]);
-            (body.encode(), false)
+            reply(body.encode())
         }
         Ok(Request::Shutdown) => {
             shared.shutdown.store(true, Ordering::SeqCst);
             shared.ready.notify_all();
-            let body = obj([("status", "ok".into()), ("shutting_down", true.into())]);
-            (body.encode(), true)
+            let body = Envelope(None, "ok").with([("shutting_down", true.into())]);
+            Ok(LineOutcome::Reply(body.encode(), true))
         }
-        Ok(Request::Solve(req)) => (handle_solve(&req, queue_wait, parse_us, shared), false),
-        Ok(Request::Generate(req)) => (handle_generate(&req, queue_wait, shared), false),
-        Ok(Request::Batch(req)) => (handle_batch(&req, queue_wait, shared), false),
-        Ok(Request::SessionOpen(req)) => (
-            handle_session_open(&req, queue_wait, parse_us, shared),
-            false,
+        Ok(Request::Solve(req)) => reply(
+            match load_or_error(&req.instance, req.id.as_deref(), shared) {
+                Ok(inst) => handle_solve(&req, &inst, &rx, None, shared),
+                Err(body) => body,
+            }
+            .encode(),
         ),
-        Ok(Request::SessionEvent(req)) => (handle_session_event(&req, parse_us, shared), false),
-        Ok(Request::SessionGet(r)) => (handle_session_get(&r, shared), false),
-        Ok(Request::SessionEvents(r)) => (handle_session_events(&r, shared), false),
-        Ok(Request::SessionClose(r)) => (handle_session_close(&r, shared), false),
+        Ok(Request::Generate(req)) => reply(handle_generate(&req, &rx, shared)),
+        Ok(Request::Batch(req)) => reply(handle_batch(&req, &rx, shared)),
+        Ok(Request::SessionOpen(req)) => reply(sessions::handle_session_open(&req, &rx, shared)),
+        Ok(Request::SessionEvent(req)) => {
+            reply(sessions::session_event_body(&req, &rx, None, shared).encode())
+        }
+        Ok(Request::SessionGet(r)) => reply(sessions::handle_session_get(&r, shared)),
+        Ok(Request::SessionEvents(r)) => reply(sessions::handle_session_events(&r, shared)),
+        Ok(Request::SessionClose(r)) => reply(sessions::handle_session_close(&r, shared)),
+        Ok(Request::Watch(target)) => {
+            let streamed = match *target {
+                WatchTarget::Attach { request } => watch::attach_watch(writer, &request, shared),
+                WatchTarget::Solve(req) => {
+                    let id = req.id.as_deref();
+                    match load_or_error(&req.instance, id, shared) {
+                        Ok(inst) => watch::watched(writer, id, shared, |sink| {
+                            handle_solve(&req, &inst, &rx, Some(sink), shared)
+                        }),
+                        // Nothing raced, so nothing streams: a plain error line.
+                        Err(body) => write_lines(writer, &[body.encode()]),
+                    }
+                }
+                WatchTarget::SessionEvent(req) => {
+                    watch::watched(writer, req.id.as_deref(), shared, |sink| {
+                        sessions::session_event_body(&req, &rx, Some(sink), shared)
+                    })
+                }
+            };
+            streamed.map(|()| LineOutcome::Streamed)
+        }
     };
     shared
         .metrics
         .request_us
-        .observe(started.elapsed().as_micros() as u64);
-    LineOutcome::Reply(answer.0, answer.1)
+        .observe(at.elapsed().as_micros() as u64);
+    outcome
 }
 
-/// Clamps a request's deadline to the service policy (0 = default).
-fn effective_deadline_ms(requested: u64, config: &ServeConfig) -> u64 {
-    match requested {
-        0 => config.default_deadline_ms,
-        d => d.min(config.max_deadline_ms),
-    }
+/// Loads a request's instance; a failed load is counted and comes back
+/// as the request's error body.
+fn load_or_error(
+    spec: &InstanceSpec,
+    id: Option<&str>,
+    shared: &Shared,
+) -> Result<Arc<LoadedInstance>, Json> {
+    load_instance(spec).map(Arc::new).map_err(|e| {
+        shared.stats.errors.inc();
+        error_json(id, &e.to_string())
+    })
 }
 
 /// What [`solve_core`] hands back on success: the (possibly memoised)
 /// solution plus the telemetry describing how it was obtained.
 struct CoreOutcome {
     solution: Arc<Solution>,
-    cached: bool,
     telemetry: RequestTelemetry,
 }
 
@@ -1295,28 +1352,42 @@ enum CoreFail {
     Internal(String),
 }
 
-/// The shared solve core: answer `(inst, objective, seed)` under the
-/// absolute `deadline`, with full cache integration. `budget_ms` is the
-/// wall-clock budget this caller can actually spend (for a plain solve
-/// that equals the effective deadline; for a batch item it is the
-/// *remaining* batch budget, so cache entries never claim more budget
-/// than the race really had). Shared by plain solves, generate+solve,
-/// batch items and `session_open` (which needs the [`Solution`] itself,
-/// not a wire body — hence the split from [`solve_cached`]). A `watch`
-/// sink subscribes the caller to the race's live convergence frames;
-/// cache hits race nothing and therefore stream nothing.
-#[allow(clippy::too_many_arguments)]
-fn solve_core(
-    inst: &Arc<LoadedInstance>,
+/// What one solve asks of [`solve_core`].
+struct SolveJob<'a> {
+    inst: &'a Arc<LoadedInstance>,
     objective: Objective,
     seed: u64,
+    /// Absolute end of the race (see [`ServeConfig::deadline`]).
     deadline: Instant,
+    /// The wall-clock budget this caller can actually spend: the
+    /// effective deadline for a solve, the *remaining* batch budget for
+    /// a batch item, so cache entries never claim more budget than the
+    /// race really had.
     budget_ms: u64,
+    /// Connection queue wait, reported in the telemetry.
     queue_wait: Duration,
+}
+
+/// The one solve entry: cache lookup → admission → race → validate →
+/// insert, for plain and watched solves, generate+solve, batch items
+/// and `session_open` (which keeps the [`Solution`] itself; the others
+/// render the outcome with [`solve_reply`]). A `watch` sink subscribes
+/// the caller to the race's live convergence frames; cache hits race
+/// nothing and therefore stream nothing.
+fn solve_core(
+    job: SolveJob<'_>,
     mut trace: Option<&mut Trace>,
     watch: Option<Arc<dyn WatchSink>>,
     shared: &Shared,
 ) -> Result<CoreOutcome, CoreFail> {
+    let SolveJob {
+        inst,
+        objective,
+        seed,
+        deadline,
+        budget_ms,
+        queue_wait,
+    } = job;
     let key = CacheKey {
         instance: inst.canonical_hash(),
         objective,
@@ -1330,30 +1401,26 @@ fn solve_core(
     // request with short-deadline quality.
     let lookup_start = trace.as_deref().map(Trace::elapsed_us);
     let prev = shared.cache.get(&key);
-    let replayable = prev
-        .as_ref()
-        .is_some_and(|hit| hit.replayable_for(budget_ms));
+    let replayable = prev.as_ref().filter(|hit| hit.replayable_for(budget_ms));
     if let (Some(tr), Some(start)) = (trace.as_deref_mut(), lookup_start) {
-        tr.span(
-            "cache_lookup",
-            start,
-            vec![("hit".to_string(), replayable.into())],
-        );
+        let hit = vec![("hit".to_string(), replayable.is_some().into())];
+        tr.span("cache_lookup", start, hit);
     }
-    if replayable {
-        // panic-safe: replayable is only set when prev matched Some above.
-        let hit = prev.as_ref().expect("replayable implies a cache entry");
+    let replay = |solution, solve_time| {
         shared.stats.cache_hits.inc();
         let telemetry = RequestTelemetry {
             queue_wait,
+            solve_time,
             cache_hit: true,
             ..Default::default()
         };
-        return Ok(CoreOutcome {
-            solution: Arc::clone(&hit.solution),
-            cached: true,
+        CoreOutcome {
+            solution,
             telemetry,
-        });
+        }
+    };
+    if let Some(hit) = replayable {
+        return Ok(replay(Arc::clone(&hit.solution), Duration::ZERO));
     }
     // Admission control (after the cache lookup, so a saturated
     // service keeps answering cached traffic): a cold solve whose race
@@ -1439,9 +1506,7 @@ fn solve_core(
             ],
         );
     }
-    if let Some(c) = ServeMetrics::labeled(&shared.metrics.race_wins, &outcome.solution.model) {
-        c.inc();
-    }
+    ServeMetrics::count(&shared.metrics.race_wins, &outcome.solution.model);
 
     // Never hand out an infeasible schedule: validate before replying
     // (and before caching). If the fresh race misbehaves while a valid
@@ -1451,21 +1516,10 @@ fn solve_core(
     if let Err(e) = inst.validate(&schedule) {
         shared.stats.errors.inc();
         if let Some(prev) = prev {
-            // Served from the cache after all: count the hit so the
-            // counter stays consistent with the response's cache_hit
-            // flag (the error counter already records the anomaly).
-            shared.stats.cache_hits.inc();
-            let telemetry = RequestTelemetry {
-                queue_wait,
-                solve_time: solve_started.elapsed(),
-                cache_hit: true,
-                ..Default::default()
-            };
-            return Ok(CoreOutcome {
-                solution: prev.solution,
-                cached: true,
-                telemetry,
-            });
+            // Served from the cache after all: `replay` counts the hit
+            // so the counter stays consistent with the response's
+            // cache_hit flag (the error counter records the anomaly).
+            return Ok(replay(prev.solution, solve_started.elapsed()));
         }
         return Err(CoreFail::Internal(format!("internal: produced {e}")));
     }
@@ -1508,34 +1562,19 @@ fn solve_core(
     .with_decodes_from_models();
 
     shared.stats.solved.inc();
-    if let Some(c) = ServeMetrics::labeled(&shared.metrics.by_family, inst.family().name()) {
-        c.inc();
-    }
+    ServeMetrics::count(&shared.metrics.by_family, inst.family().name());
     Ok(CoreOutcome {
         solution: merged.solution,
-        cached: false,
         telemetry,
     })
 }
 
-/// [`solve_core`] rendered as a solve-shaped response body.
-#[allow(clippy::too_many_arguments)]
-fn solve_cached(
-    id: Option<&str>,
-    inst: &Arc<LoadedInstance>,
-    objective: Objective,
-    seed: u64,
-    deadline: Instant,
-    budget_ms: u64,
-    queue_wait: Duration,
-    trace: Option<&mut Trace>,
-    watch: Option<Arc<dyn WatchSink>>,
-    shared: &Shared,
-) -> Json {
-    match solve_core(
-        inst, objective, seed, deadline, budget_ms, queue_wait, trace, watch, shared,
-    ) {
-        Ok(out) => solution_json(id, &out.solution, out.cached, &out.telemetry),
+/// Renders a [`solve_core`] result as a solve-shaped body: the solve
+/// response, a batch item, a generate's `solution` and a
+/// `session_open` answer all share this shape.
+fn solve_reply(id: Option<&str>, result: Result<CoreOutcome, CoreFail>, shared: &Shared) -> Json {
+    match result {
+        Ok(out) => solution_json(id, &out.solution, out.telemetry.cache_hit, &out.telemetry),
         Err(CoreFail::Busy { depth }) => {
             busy_json(id, depth as u64, shared.config.max_queue_depth as u64)
         }
@@ -1544,14 +1583,17 @@ fn solve_cached(
 }
 
 /// Starts a request trace when the request opted in (`"trace": true`):
-/// mints a ring id and records the already-measured `parse` span.
+/// mints a ring id and records the `parse` span [`handle_line`]
+/// measured. A watched request's trace has kind `watch`.
 fn start_trace(
     opted_in: bool,
     kind: &'static str,
+    watched: bool,
     parse_us: u64,
     shared: &Shared,
 ) -> Option<Trace> {
     opted_in.then(|| {
+        let kind = if watched { "watch" } else { kind };
         let mut tr = Trace::new(shared.traces.next_id(), kind);
         tr.span_at("parse", 0, parse_us, Vec::new());
         tr
@@ -1564,1012 +1606,35 @@ fn attach_trace(body: Json, trace: Option<Trace>, shared: &Shared) -> Json {
     let Some(tr) = trace else { return body };
     let rendered = tr.to_json();
     shared.traces.push(rendered.clone());
-    match body {
-        Json::Obj(mut fields) => {
-            fields.push(("trace".into(), rendered));
-            Json::Obj(fields)
-        }
-        other => other,
-    }
+    body.with_fields(usize::MAX, [("trace", rendered)])
 }
 
-/// A watched race's replayable frame log. The origin connection's sink
-/// appends every frame here (besides writing it to its own socket);
-/// re-attaching connections replay from the start, then follow live
-/// via the condvar until the terminal frame closes the log.
-struct WatchChannel {
-    state: Mutex<WatchLog>,
-    cond: Condvar,
-}
-
-#[derive(Default)]
-struct WatchLog {
-    /// Every frame emitted so far, already rendered to wire lines.
-    frames: Vec<String>,
-    /// Set once the terminal answer frame has been appended.
-    done: bool,
-}
-
-impl WatchChannel {
-    fn new() -> WatchChannel {
-        WatchChannel {
-            state: Mutex::new(WatchLog::default()),
-            cond: Condvar::new(),
-        }
-    }
-
-    /// Appends one rendered frame and wakes every attached follower.
-    fn push(&self, line: String) {
-        // panic-safe: watch-log poisoning means an emitter already panicked;
-        // taking followers down with it is the intended failure mode.
-        let mut s = self.state.lock().expect("watch log poisoned");
-        s.frames.push(line);
-        drop(s);
-        self.cond.notify_all();
-    }
-
-    /// Closes the log (the terminal frame is already in) and wakes
-    /// followers one last time. Poison-tolerant: this also runs on the
-    /// unwind path of a panicking watch handler, where followers must
-    /// still be released rather than left waiting forever.
-    fn finish(&self) {
-        let mut s = match self.state.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        s.done = true;
-        drop(s);
-        self.cond.notify_all();
-    }
-
-    /// Streams the log to `writer` from the first frame: replays what
-    /// is already there, then blocks for live frames until the log is
-    /// closed and drained.
-    fn stream_to(&self, writer: &mut TcpStream) -> std::io::Result<()> {
-        let mut from = 0usize;
-        loop {
-            // panic-safe: as in push.
-            let mut s = self.state.lock().expect("watch log poisoned");
-            while s.frames.len() == from && !s.done {
-                // panic-safe: as in push.
-                s = self.cond.wait(s).expect("watch log poisoned");
-            }
-            // panic-safe: `from` only advances by lengths of batches taken
-            // from `frames`, which never shrinks, so from <= frames.len().
-            let batch: Vec<String> = s.frames[from..].to_vec();
-            let done = s.done;
-            drop(s);
-            if batch.is_empty() && done {
-                return Ok(());
-            }
-            from += batch.len();
-            for line in &batch {
-                writeln!(writer, "{line}")?;
-            }
-            writer.flush()?;
-        }
-    }
-}
-
-/// Frames buffered for a watcher's socket before new ones are dropped.
-/// The cap bounds both memory and the damage a stalled watcher can do:
-/// racer threads only ever enqueue (or drop) and move on.
-const WATCH_QUEUE_CAP: usize = 4096;
-
-/// State shared between frame emitters, the watch writer thread and
-/// [`SocketWatchSink::close`]: the pending socket frames plus the
-/// flags that sequence teardown.
-#[derive(Default)]
-struct WatchQueueState {
-    /// Rendered lines awaiting the writer thread, oldest first.
-    frames: VecDeque<String>,
-    /// Sealed by [`SocketWatchSink::close`] (terminal answer frame
-    /// already enqueued) or by the unwind guard: emits arriving later
-    /// are no-ops, so no race straggler can trail the answer frame on
-    /// the socket or in the replay channel.
-    closed: bool,
-    /// The writer thread hit a socket error; pending frames were
-    /// discarded and nothing further will be written.
-    dead: bool,
-    /// Frames dropped because the queue was full (slow watcher).
-    dropped: u64,
-}
-
-/// The bounded hand-off between emitters and the writer thread.
-#[derive(Default)]
-struct WatchQueue {
-    state: Mutex<WatchQueueState>,
-    cond: Condvar,
-}
-
-/// The origin connection's [`WatchSink`]. `emit` never touches the
-/// socket: it appends to a bounded in-memory queue drained by a
-/// dedicated writer thread (and mirrors the frame into the re-attach
-/// channel when the request carried an id). A watcher that stops
-/// reading therefore loses frames once the queue fills — never the
-/// race: per the [`WatchSink`] contract, racer threads (including the
-/// shared pool's) must not block on a slow consumer, or one idle
-/// client could stall every request's race and change deadline-bound
-/// answers. The replay channel still receives every frame, so an
-/// attached follower's view stays complete even when the origin's
-/// socket lagged.
-struct SocketWatchSink {
-    q: Arc<WatchQueue>,
-    channel: Option<Arc<WatchChannel>>,
-    /// The writer thread, joined by [`SocketWatchSink::close`].
-    writer: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
-impl WatchSink for SocketWatchSink {
-    fn emit(&self, frame: &Json) {
-        let line = frame.encode();
-        // The channel push happens under the queue lock so concurrent
-        // emitters land in the same order in the socket queue and in
-        // the replay log — an attached follower sees the origin's
-        // exact stream. Lock order is queue → channel only; stream_to
-        // takes the channel lock alone.
-        // panic-safe: queue poisoning means another emitter panicked;
-        // dropping this frame too is the right degradation.
-        let mut s = self.q.state.lock().expect("watch queue poisoned");
-        if s.closed {
-            // The terminal answer frame is already in: this emitter is
-            // a race straggler winding down after the submitter
-            // returned. Dropping the frame everywhere keeps the answer
-            // the last line of both the stream and the replay log.
-            return;
-        }
-        if let Some(ch) = &self.channel {
-            ch.push(line.clone());
-        }
-        if s.dead {
-            return;
-        }
-        if s.frames.len() >= WATCH_QUEUE_CAP {
-            s.dropped += 1;
-            return;
-        }
-        s.frames.push_back(line);
-        drop(s);
-        self.q.cond.notify_one();
-    }
-}
-
-impl SocketWatchSink {
-    /// Appends the terminal line (bypassing the overflow cap — the
-    /// answer frame is never dropped), seals the queue against further
-    /// emits, closes the replay channel and joins the writer thread,
-    /// so the socket is quiescent when the connection loop resumes.
-    /// Returns the overflow-drop count, plus an error when the
-    /// watcher's socket broke mid-stream — the connection may hold a
-    /// half-written frame and must be closed, not reused.
-    fn close(&self, terminal: String) -> (u64, std::io::Result<()>) {
-        {
-            // panic-safe: as in emit.
-            let mut s = self.q.state.lock().expect("watch queue poisoned");
-            if let Some(ch) = &self.channel {
-                ch.push(terminal.clone());
-            }
-            if !s.dead {
-                s.frames.push_back(terminal);
-            }
-            s.closed = true;
-        }
-        self.q.cond.notify_all();
-        if let Some(ch) = &self.channel {
-            ch.finish();
-        }
-        // panic-safe: as in emit.
-        let handle = self.writer.lock().expect("watch writer poisoned").take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
-        // panic-safe: as in emit.
-        let s = self.q.state.lock().expect("watch queue poisoned");
-        let result = if s.dead {
-            Err(std::io::Error::new(
-                std::io::ErrorKind::BrokenPipe,
-                "watch subscriber hung up mid-stream",
-            ))
-        } else {
-            Ok(())
-        };
-        (s.dropped, result)
-    }
-
-    /// The writer thread body: drains queued frames to the
-    /// subscriber's socket until the queue is closed and empty. A
-    /// write error marks the queue dead and discards what was pending
-    /// — the race keeps running, merely unwatched. Blocking here (a
-    /// watcher that reads slowly but steadily) pins only this thread,
-    /// never a racer.
-    fn drain_to(q: &WatchQueue, sock: &mut TcpStream) {
-        loop {
-            // panic-safe: as in emit.
-            let mut s = q.state.lock().expect("watch queue poisoned");
-            while s.frames.is_empty() && !s.closed {
-                // panic-safe: as in emit.
-                s = q.cond.wait(s).expect("watch queue poisoned");
-            }
-            if s.frames.is_empty() {
-                return; // closed and fully drained
-            }
-            let batch: Vec<String> = s.frames.drain(..).collect();
-            drop(s);
-            let mut write_batch = || -> std::io::Result<()> {
-                for line in &batch {
-                    writeln!(sock, "{line}")?;
-                }
-                sock.flush()
-            };
-            if write_batch().is_err() {
-                // panic-safe: as in emit.
-                let mut s = q.state.lock().expect("watch queue poisoned");
-                s.dead = true;
-                s.frames.clear();
-            }
-        }
-    }
-}
-
-/// Serves one `watch` subscription on the subscriber's own socket:
-/// runs (or attaches to) a race, pushing line-delimited JSON frames as
-/// the race produces them; the final line is a `{"frame":"answer",...}`
-/// object carrying the ordinary response body. The connection stays
-/// usable for further requests afterwards.
-fn handle_watch(
-    writer: &mut TcpStream,
-    target: &WatchTarget,
-    queue_wait: Duration,
-    shared: &Shared,
-) -> std::io::Result<()> {
-    let started = Instant::now();
-    let result = match target {
-        WatchTarget::Attach { request } => attach_watch(writer, request, shared),
-        WatchTarget::Solve(req) => watch_solve(writer, req, queue_wait, shared),
-        WatchTarget::SessionEvent(req) => watch_session_event(writer, req, shared),
-    };
-    shared
-        .metrics
-        .request_us
-        .observe(started.elapsed().as_micros() as u64);
-    result
-}
-
-/// Builds the origin sink for a watched race — a bounded frame queue
-/// with a dedicated writer thread draining it to the subscriber's
-/// socket — and, when the request carries an id, registers the
-/// re-attach channel under it. An id another watched race already
-/// holds is rejected with an error line (`Ok(None)`: the error is
-/// already written): attach must be unambiguous, and two races
-/// sharing an id could otherwise deregister each other mid-flight.
-fn register_watch(
-    writer: &mut TcpStream,
-    id: Option<&str>,
-    shared: &Shared,
-) -> std::io::Result<Option<Arc<SocketWatchSink>>> {
-    let channel = match id {
-        Some(rid) => {
-            let ch = Arc::new(WatchChannel::new());
-            // panic-safe: watch-hub poisoning means a watch handler
-            // already panicked while registering or attaching; failing
-            // this request too is the intended failure mode.
-            let mut hub = shared.watches.lock().expect("watch hub poisoned");
-            match hub.entry(rid.to_string()) {
-                std::collections::hash_map::Entry::Occupied(_) => {
-                    drop(hub);
-                    shared.stats.errors.inc();
-                    writeln!(
-                        writer,
-                        "{}",
-                        encode_error(
-                            Some(rid),
-                            &format!(
-                                "a watched race with request id {rid:?} is already in \
-                                 flight; attach to it or pick a fresh id"
-                            ),
-                        )
-                    )?;
-                    writer.flush()?;
-                    return Ok(None);
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(Arc::clone(&ch));
-                }
-            }
-            Some(ch)
-        }
-        None => None,
-    };
-    let q = Arc::new(WatchQueue::default());
-    let spawned = writer.try_clone().and_then(|mut sock| {
-        std::thread::Builder::new()
-            .name("serve-watch-writer".into())
-            .spawn({
-                let q = Arc::clone(&q);
-                move || SocketWatchSink::drain_to(&q, &mut sock)
-            })
-    });
-    let handle = match spawned {
-        Ok(handle) => handle,
-        Err(e) => {
-            // Roll the registration back — an entry without a running
-            // race would make its followers wait forever.
-            if let (Some(rid), Some(ch)) = (id, &channel) {
-                // panic-safe: as in the registration above.
-                shared
-                    .watches
-                    .lock()
-                    .expect("watch hub poisoned") // panic-safe: as above
-                    .remove(rid);
-                ch.finish();
-            }
-            return Err(e);
-        }
-    };
-    Ok(Some(Arc::new(SocketWatchSink {
-        q,
-        channel,
-        writer: Mutex::new(Some(handle)),
-    })))
-}
-
-/// Drops the re-attach registration for `id` — but only when the hub
-/// still maps it to *this* race's channel (`Arc::ptr_eq`), so a finish
-/// (or unwind) can never deregister some other in-flight race that
-/// re-registered the id after ours left the map.
-fn deregister_watch(id: Option<&str>, sink: &SocketWatchSink, shared: &Shared) {
-    let (Some(rid), Some(ch)) = (id, &sink.channel) else {
-        return;
-    };
-    // Poison-tolerant: this also runs on the unwind path, where a
-    // second panic would abort the process.
-    let mut hub = match shared.watches.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    if hub.get(rid).is_some_and(|c| Arc::ptr_eq(c, ch)) {
-        hub.remove(rid);
-    }
-}
-
-/// Unwind insurance for an in-flight watched race: if the handler
-/// panics before [`finish_watch`] runs (a panicking inline member
-/// unwinds through the watch functions), the drop deregisters the
-/// re-attach id, closes the replay channel — otherwise attached
-/// followers would wait forever on its condvar, pinning their
-/// connection threads, and the hub entry would leak — and seals the
-/// frame queue so the writer thread drains out and exits.
-/// [`finish_watch`] disarms it on the ordinary path.
-struct WatchGuard<'a> {
-    id: Option<&'a str>,
-    sink: Arc<SocketWatchSink>,
-    shared: &'a Shared,
-    armed: bool,
-}
-
-impl Drop for WatchGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        deregister_watch(self.id, &self.sink, self.shared);
-        // Poison-tolerant throughout: drop may run during a panic.
-        let mut s = match self.sink.q.state.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        s.closed = true;
-        drop(s);
-        self.sink.q.cond.notify_all();
-        if let Some(ch) = &self.sink.channel {
-            ch.finish();
-        }
-        // The writer thread exits on its own once the sealed queue is
-        // drained; no join here — this thread is unwinding.
-    }
-}
-
-/// Emits the terminal `{"frame":"answer",...}` line, seals the stream
-/// (late race stragglers are silenced, so nothing trails the answer)
-/// and tears the subscription down: deregisters the re-attach id,
-/// closes the replay channel and joins the writer thread. Propagates
-/// an error when the watcher hung up mid-stream — the connection may
-/// hold a half-written frame, so it must be closed, not reused.
-fn finish_watch(mut guard: WatchGuard<'_>, body: Json) -> std::io::Result<()> {
-    guard.armed = false;
-    let frame = match body {
-        Json::Obj(mut fields) => {
-            fields.insert(0, ("frame".into(), "answer".into()));
-            Json::Obj(fields)
-        }
-        other => other,
-    };
-    // Deregister BEFORE the terminal frame goes out: a client that
-    // has seen the answer must deterministically find the id gone,
-    // so removal cannot trail the emit. An attacher that cloned the
-    // channel just before removal still streams to the terminal
-    // frame — `stream_to` drains until the close below.
-    deregister_watch(guard.id, &guard.sink, guard.shared);
-    let (dropped, result) = guard.sink.close(frame.encode());
-    if dropped > 0 {
-        guard.shared.metrics.watch_drops.add(dropped);
-    }
-    result
-}
-
-/// `{"cmd":"watch","request":ID}` — re-attach to an in-flight watched
-/// race: replay every frame streamed so far, then follow live until
-/// the terminal answer frame. Only races still running are attachable;
-/// a finished (or never-watched) id answers with an error line.
-fn attach_watch(writer: &mut TcpStream, request: &str, shared: &Shared) -> std::io::Result<()> {
-    // panic-safe: as in register_watch.
-    let channel = shared
-        .watches
-        .lock()
-        .expect("watch hub poisoned") // panic-safe: as in register_watch
-        .get(request)
-        .cloned();
-    let Some(channel) = channel else {
-        shared.stats.errors.inc();
-        writeln!(
-            writer,
-            "{}",
-            encode_error(
-                None,
-                &format!("no in-flight watched race with request id {request:?}"),
-            )
-        )?;
-        return writer.flush();
-    };
-    channel.stream_to(writer)
-}
-
-/// `{"cmd":"watch", ...solve fields...}` — a solve whose race streams
-/// convergence frames to this connection as it runs.
-fn watch_solve(
-    writer: &mut TcpStream,
-    req: &SolveRequest,
-    queue_wait: Duration,
-    shared: &Shared,
-) -> std::io::Result<()> {
-    let id = req.id.as_deref();
-    let inst = match load_instance(&req.instance) {
-        Ok(inst) => Arc::new(inst),
-        Err(e) => {
-            shared.stats.errors.inc();
-            writeln!(writer, "{}", encode_error(id, &e.to_string()))?;
-            return writer.flush();
-        }
-    };
-    let Some(sink) = register_watch(writer, id, shared)? else {
-        return Ok(());
-    };
-    let guard = WatchGuard {
-        id,
-        sink: Arc::clone(&sink),
-        shared,
-        armed: true,
-    };
-    let trace = start_trace(req.trace, "watch", 0, shared);
-    let watch = Some(Arc::clone(&sink) as Arc<dyn WatchSink>);
-    finish_watch(
-        guard,
-        solve_body(req, &inst, trace, queue_wait, watch, shared),
-    )
-}
-
-/// `{"cmd":"watch","session":S,"event":E}` — a session disruption whose
-/// repair-vs-resolve race streams frames to this connection.
-fn watch_session_event(
-    writer: &mut TcpStream,
-    req: &SessionEventRequest,
-    shared: &Shared,
-) -> std::io::Result<()> {
-    let id = req.id.as_deref();
-    let Some(sink) = register_watch(writer, id, shared)? else {
-        return Ok(());
-    };
-    let guard = WatchGuard {
-        id,
-        sink: Arc::clone(&sink),
-        shared,
-        armed: true,
-    };
-    let body = session_event_body(
-        req,
-        0,
-        Some(Arc::clone(&sink) as Arc<dyn WatchSink>),
-        shared,
-    );
-    finish_watch(guard, body)
-}
-
-/// The `status:"error"` body for a session id that is not (or no
-/// longer) registered. `code:"unknown_session"` lets clients tell an
-/// expired session apart from a malformed request: the fix is to
-/// re-open, not to re-spell.
-fn unknown_session_json(id: Option<&str>, session: &str) -> Json {
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".into(), id.into()));
-    }
-    fields.push(("status".into(), "error".into()));
-    fields.push(("code".into(), "unknown_session".into()));
-    fields.push((
-        "error".into(),
-        format!("unknown session {session:?} (never opened, closed, or expired)").into(),
-    ));
-    Json::Obj(fields)
-}
-
-/// Session down-windows on the wire: `[machine, from, until]` rows in
-/// machine order.
-fn windows_json(windows: &[shop::dynamic::DownWindow]) -> Json {
-    Json::Arr(
-        windows
-            .iter()
-            .map(|w| {
-                Json::Arr(vec![
-                    (w.machine as u64).into(),
-                    w.from.into(),
-                    w.until.into(),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Looks up a session, falling back to write-ahead-log replay when the
-/// registry no longer holds it — idle-TTL expiry, LRU eviction, or a
-/// restart that has not touched this id yet. Durability beats expiry:
-/// a session with a log on disk stays reachable until explicitly
-/// closed.
-fn session_entry(session: &str, shared: &Shared) -> Option<Arc<Mutex<SessionState>>> {
-    if let Some(entry) = shared.sessions.get(session) {
-        return Some(entry);
-    }
-    let wal = shared.wal.as_ref()?;
-    match wal.recover_one(session) {
-        Ok(crate::wal::RecoverOutcome::Recovered(rec)) => {
-            if let Some(salvaged) = &rec.salvaged {
-                eprintln!("[serve::wal] {session}: {salvaged}");
-            }
-            shared.stats.wal_replays.add(rec.records);
-            let (entry, _) = shared.sessions.restore(session, rec.state, rec.ttl_ms);
-            Some(entry)
-        }
-        Ok(crate::wal::RecoverOutcome::Missing) => None,
-        Ok(crate::wal::RecoverOutcome::Quarantined { path, error }) => {
-            eprintln!(
-                "[serve::wal] {session}: quarantined {} ({error})",
-                path.display()
-            );
-            shared.stats.errors.inc();
-            None
-        }
-        Err(e) => {
-            eprintln!("[serve::wal] {session}: recovery failed: {e}");
-            shared.stats.errors.inc();
-            None
-        }
-    }
-}
-
-/// Durably appends one accepted event to a session's log (and compacts
-/// it into a snapshot when the cadence triggers), before the caller
-/// writes the wire answer. WAL IO failure degrades to memory-only
-/// service — the event was already applied, losing the answer would be
-/// worse than losing durability.
-fn wal_append_event(
-    session: &str,
-    state: &SessionState,
-    event: &shop::dynamic::Event,
-    out: &crate::session::EventOutcome,
-    shared: &Shared,
-) {
-    let Some(wal) = shared.wal.as_ref() else {
-        return;
-    };
-    let started = Instant::now();
-    let mut result = wal.append(session, &crate::wal::event_record(state.events, event, out));
-    let every = wal.config().snapshot_every;
-    if result.is_ok() && every > 0 && state.events.is_multiple_of(every) {
-        result = wal.rewrite(session, &crate::wal::snapshot_record(session, state));
-    }
-    shared
-        .metrics
-        .wal_append_us
-        .observe(started.elapsed().as_micros() as u64);
-    match result {
-        Ok(()) => shared.stats.wal_appends.inc(),
-        Err(e) => {
-            eprintln!("[serve::wal] {session}: append failed: {e} (continuing without durability)");
-            shared.stats.errors.inc();
-        }
-    }
-}
-
-/// Opens a dynamic-rescheduling session: resolve the instance (job
-/// shops only — the `shop::dynamic` machinery is the job-shop
-/// predictive-reactive stack), solve it through the shared cache-aware
-/// core, and register the session with the solution as its incumbent.
-fn handle_session_open(
-    req: &SessionOpenRequest,
-    queue_wait: Duration,
-    parse_us: u64,
-    shared: &Shared,
-) -> String {
-    let id = req.id.as_deref();
-    let mut trace = start_trace(req.trace, "session_open", parse_us, shared);
-    let inst = match load_instance(&req.instance) {
-        Ok(inst) => Arc::new(inst),
-        Err(e) => {
-            shared.stats.errors.inc();
-            return encode_error(id, &e.to_string());
-        }
-    };
-    let LoadedInstance::Job(job) = &*inst else {
-        shared.stats.errors.inc();
-        return encode_error(
-            id,
-            &format!(
-                "sessions require a job-shop instance, got family {:?}",
-                inst.family().name()
-            ),
-        );
-    };
-    let deadline_ms = effective_deadline_ms(req.deadline_ms, &shared.config);
-    let deadline = Instant::now() + Duration::from_millis(deadline_ms);
-    match solve_core(
-        &inst,
-        req.objective,
-        req.seed,
-        deadline,
-        deadline_ms,
-        queue_wait,
-        trace.as_mut(),
-        None,
-        shared,
-    ) {
-        Err(CoreFail::Busy { depth }) => {
-            busy_json(id, depth as u64, shared.config.max_queue_depth as u64).encode()
-        }
-        Err(CoreFail::Internal(msg)) => error_json(id, &msg).encode(),
-        Ok(out) => {
-            let state = SessionState {
-                inst: job.clone(),
-                objective: req.objective,
-                seed: req.seed,
-                windows: Vec::new(),
-                now: 0,
-                incumbent: Arc::clone(&out.solution),
-                // Tracks *event* degradation (busy-skips, clock-cut
-                // re-solves); a fresh incumbent starts settled.
-                deadline_bound: false,
-                events: 0,
-                ttl_ms: req.ttl_ms,
-                journal: Vec::new(),
-            };
-            let session = shared.sessions.open(state, req.ttl_ms);
-            if let Some(tr) = trace.as_mut() {
-                tr.session = Some(session.clone());
-            }
-            // Durability: the open record is on disk (and fsync'd)
-            // before the client hears the session id.
-            if let Some(wal) = shared.wal.as_ref() {
-                if let Some(entry) = shared.sessions.get(&session) {
-                    let state = entry.lock().expect("session poisoned"); // panic-safe: poisoned = a handler already panicked; never serve corrupt state
-                    let started = Instant::now();
-                    let result = wal.begin(&session, &crate::wal::open_record(&session, &state));
-                    shared
-                        .metrics
-                        .wal_append_us
-                        .observe(started.elapsed().as_micros() as u64);
-                    match result {
-                        Ok(()) => shared.stats.wal_appends.inc(),
-                        Err(e) => {
-                            eprintln!(
-                                "[serve::wal] {session}: open append failed: {e} \
-                                 (continuing without durability)"
-                            );
-                            shared.stats.errors.inc();
-                        }
-                    }
-                }
-            }
-            let body = solution_json(id, &out.solution, out.cached, &out.telemetry);
-            let Json::Obj(mut fields) = body else {
-                // panic-safe: solution_json returns Json::Obj unconditionally.
-                unreachable!("solution_json builds an object")
-            };
-            fields.push(("session".into(), session.as_str().into()));
-            fields.push(("now".into(), 0u64.into()));
-            fields.push(("events".into(), 0u64.into()));
-            attach_trace(Json::Obj(fields), trace, shared).encode()
-        }
-    }
-}
-
-/// Applies one disruption to a session: right-shift repair races the
-/// warm-started frozen-prefix re-solve under the event deadline (see
-/// `crate::session`); a racer queue past the admission limit sheds the
-/// re-solve leg so the event still answers — with repair — inside its
-/// deadline.
-fn handle_session_event(req: &SessionEventRequest, parse_us: u64, shared: &Shared) -> String {
-    session_event_body(req, parse_us, None, shared).encode()
-}
-
-/// The session-event core behind both the plain command and the
-/// watched variant: applies the disruption, races repair against the
-/// re-solve (streaming frames into `watch` when subscribed) and builds
-/// the response body.
-fn session_event_body(
-    req: &SessionEventRequest,
-    parse_us: u64,
-    watch: Option<Arc<dyn WatchSink>>,
-    shared: &Shared,
-) -> Json {
-    let id = req.id.as_deref();
-    let kind = if watch.is_some() {
-        "watch"
-    } else {
-        "session_event"
-    };
-    let mut trace = start_trace(req.trace, kind, parse_us, shared);
-    if let Some(tr) = trace.as_mut() {
-        tr.session = Some(req.session.clone());
-    }
-    let Some(entry) = session_entry(&req.session, shared) else {
-        shared.stats.errors.inc();
-        return unknown_session_json(id, &req.session);
-    };
-    let deadline_ms = match req.deadline_ms {
-        0 => shared.config.default_event_deadline_ms,
-        d => d.min(shared.config.max_deadline_ms),
-    };
-    let deadline = Instant::now() + Duration::from_millis(deadline_ms);
-    // Admission control mirrors cold solves: shedding here skips only
-    // the GA leg — repair needs no pool and always answers.
-    let skip_resolve = shared.pool.queue_depth() >= shared.config.max_queue_depth;
-    let started = Instant::now();
-    let phases = Arc::new(PhaseAcc::new());
-    let mut state = entry.lock().expect("session poisoned"); // panic-safe: poisoned = a handler already panicked; never serve corrupt state
-    let outcome = crate::session::handle_event_hooked(
-        &shared.pool,
-        &mut state,
-        &req.event,
-        deadline,
-        shared.config.gen_cap,
-        shared.config.racers,
-        skip_resolve,
-        trace.as_mut(),
-        SolveHooks {
-            watch,
-            phases: Some(Arc::clone(&phases)),
-            ..SolveHooks::default()
-        },
-    );
-    shared
-        .metrics
-        .session_event_us
-        .observe(started.elapsed().as_micros() as u64);
-    // Sessions are job-shop only; their re-solves feed the engine and
-    // decode phases through the shared codec race, and run_ns =
-    // eval_ops = 0 keeps the cost-model drift gauge solve-only.
-    shared.metrics.observe_race_profile("job", &phases, 0, 0);
-    match outcome {
-        Err(msg) => {
-            shared.stats.errors.inc();
-            error_json(id, &msg)
-        }
-        Ok(out) => {
-            shared.stats.session_events.inc();
-            let winners = match out.winner {
-                "resolve" => &shared.stats.session_resolve_wins,
-                _ => &shared.stats.session_repair_wins,
-            };
-            winners.inc();
-            match out.resolve_skipped {
-                Some(crate::session::ResolveSkip::Busy) => {
-                    shared.stats.session_resolve_busy.inc();
-                }
-                Some(crate::session::ResolveSkip::Infeasible) => {
-                    shared.stats.errors.inc();
-                }
-                _ => {}
-            }
-            // Still under the session lock: the record hits disk (and
-            // fsyncs) before the wire answer, and appends stay ordered
-            // per session.
-            wal_append_event(&req.session, &state, &req.event, &out, shared);
-            let mut fields: Vec<(String, Json)> = Vec::new();
-            if let Some(id) = id {
-                fields.push(("id".into(), id.into()));
-            }
-            fields.push(("status".into(), "ok".into()));
-            fields.push(("session".into(), req.session.as_str().into()));
-            fields.push(("now".into(), out.now.into()));
-            fields.push(("events".into(), state.events.into()));
-            fields.push(("winner".into(), out.winner.into()));
-            fields.push(("objective".into(), out.solution.objective.name().into()));
-            fields.push(("value".into(), out.solution.value.into()));
-            fields.push(("makespan".into(), out.solution.makespan.into()));
-            fields.push(("model".into(), out.solution.model.as_str().into()));
-            fields.push(("repair_value".into(), out.repair_value.into()));
-            fields.push((
-                "resolve_value".into(),
-                out.resolve_value.map(Json::from).unwrap_or(Json::Null),
-            ));
-            fields.push((
-                "resolve_skipped".into(),
-                out.resolve_skipped
-                    .map(|s| Json::from(s.name()))
-                    .unwrap_or(Json::Null),
-            ));
-            fields.push(("deadline_bound".into(), out.deadline_bound.into()));
-            fields.push((
-                "schedule".into(),
-                crate::protocol::schedule_to_json(&out.solution.schedule),
-            ));
-            fields.push((
-                "telemetry".into(),
-                obj([
-                    ("event_ms", (started.elapsed().as_millis() as u64).into()),
-                    ("deadline_ms", deadline_ms.into()),
-                    ("resolve_generations", out.resolve_generations.into()),
-                ]),
-            ));
-            attach_trace(Json::Obj(fields), trace, shared)
-        }
-    }
-}
-
-/// Returns a session's current incumbent, clock and down-windows.
-fn handle_session_get(r: &SessionRef, shared: &Shared) -> String {
-    let id = r.id.as_deref();
-    let Some(entry) = session_entry(&r.session, shared) else {
-        shared.stats.errors.inc();
-        return unknown_session_json(id, &r.session).encode();
-    };
-    let state = entry.lock().expect("session poisoned"); // panic-safe: poisoned = a handler already panicked; never serve corrupt state
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".into(), id.into()));
-    }
-    fields.push(("status".into(), "ok".into()));
-    fields.push(("session".into(), r.session.as_str().into()));
-    fields.push(("now".into(), state.now.into()));
-    fields.push(("events".into(), state.events.into()));
-    fields.push(("jobs".into(), (state.inst.n_jobs() as u64).into()));
-    fields.push(("machines".into(), (state.inst.n_machines() as u64).into()));
-    fields.push(("objective".into(), state.incumbent.objective.name().into()));
-    fields.push(("value".into(), state.incumbent.value.into()));
-    fields.push(("makespan".into(), state.incumbent.makespan.into()));
-    fields.push(("deadline_bound".into(), state.deadline_bound.into()));
-    fields.push(("windows".into(), windows_json(&state.windows)));
-    fields.push((
-        "schedule".into(),
-        crate::protocol::schedule_to_json(&state.incumbent.schedule),
-    ));
-    Json::Obj(fields).encode()
-}
-
-/// Returns a session's whole ordered event log in one round trip: one
-/// row per accepted event with the disruption, the winning leg and the
-/// post-event incumbent summary. Served from the journal the WAL
-/// persists, so the history survives restarts and compaction.
-fn handle_session_events(r: &SessionRef, shared: &Shared) -> String {
-    let id = r.id.as_deref();
-    let Some(entry) = session_entry(&r.session, shared) else {
-        shared.stats.errors.inc();
-        return unknown_session_json(id, &r.session).encode();
-    };
-    let state = entry.lock().expect("session poisoned"); // panic-safe: poisoned = a handler already panicked; never serve corrupt state
-    let log: Vec<Json> = state
-        .journal
-        .iter()
-        .map(|e| {
-            obj([
-                ("seq", e.seq.into()),
-                ("event", crate::protocol::event_to_json(&e.event)),
-                ("winner", e.winner.as_str().into()),
-                ("value", e.value.into()),
-                ("makespan", e.makespan.into()),
-                ("deadline_bound", e.deadline_bound.into()),
-            ])
-        })
-        .collect();
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".into(), id.into()));
-    }
-    fields.push(("status".into(), "ok".into()));
-    fields.push(("session".into(), r.session.as_str().into()));
-    fields.push(("now".into(), state.now.into()));
-    fields.push(("events".into(), state.events.into()));
-    fields.push(("log".into(), Json::Arr(log)));
-    Json::Obj(fields).encode()
-}
-
-/// Closes a session and reports how many events it absorbed. With a
-/// WAL the log is deleted too — close is the one path that forgets a
-/// durable session.
-fn handle_session_close(r: &SessionRef, shared: &Shared) -> String {
-    let id = r.id.as_deref();
-    let entry = shared.sessions.close(&r.session).or_else(|| {
-        // An expired-but-durable session must be closable: recover it,
-        // then close it (and drop its log below).
-        session_entry(&r.session, shared)?;
-        shared.sessions.close(&r.session)
-    });
-    let Some(entry) = entry else {
-        shared.stats.errors.inc();
-        return unknown_session_json(id, &r.session).encode();
-    };
-    if let Some(wal) = shared.wal.as_ref() {
-        if let Err(e) = wal.remove(&r.session) {
-            eprintln!("[serve::wal] {}: remove failed: {e}", r.session);
-            shared.stats.errors.inc();
-        }
-    }
-    let state = entry.lock().expect("session poisoned"); // panic-safe: poisoned = a handler already panicked; never serve corrupt state
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".into(), id.into()));
-    }
-    fields.push(("status".into(), "ok".into()));
-    fields.push(("session".into(), r.session.as_str().into()));
-    fields.push(("closed".into(), true.into()));
-    fields.push(("events".into(), state.events.into()));
-    Json::Obj(fields).encode()
-}
-
+/// The body of a plain or watched solve request: solves `inst` through
+/// [`solve_core`] under the request's budget and attaches its trace.
 fn handle_solve(
     req: &SolveRequest,
-    queue_wait: Duration,
-    parse_us: u64,
-    shared: &Shared,
-) -> String {
-    let trace = start_trace(req.trace, "solve", parse_us, shared);
-    let inst = match load_instance(&req.instance) {
-        Ok(inst) => Arc::new(inst),
-        Err(e) => {
-            shared.stats.errors.inc();
-            return encode_error(req.id.as_deref(), &e.to_string());
-        }
-    };
-    solve_body(req, &inst, trace, queue_wait, None, shared).encode()
-}
-
-/// The body of a plain or watched solve request: solves `inst` under
-/// the request's effective deadline through the cache-aware core and
-/// attaches the request's trace.
-fn solve_body(
-    req: &SolveRequest,
     inst: &Arc<LoadedInstance>,
-    mut trace: Option<Trace>,
-    queue_wait: Duration,
+    rx: &Received,
     watch: Option<Arc<dyn WatchSink>>,
     shared: &Shared,
 ) -> Json {
-    let deadline_ms = effective_deadline_ms(req.deadline_ms, &shared.config);
-    let deadline = Instant::now() + Duration::from_millis(deadline_ms);
-    let body = solve_cached(
-        req.id.as_deref(),
+    let mut trace = start_trace(req.trace, "solve", watch.is_some(), rx.parse_us, shared);
+    let config = &shared.config;
+    let (budget_ms, deadline) = config.deadline(rx.at, req.deadline_ms, config.default_deadline_ms);
+    let job = SolveJob {
         inst,
-        req.objective,
-        req.seed,
+        objective: req.objective,
+        seed: req.seed,
         deadline,
-        deadline_ms,
-        queue_wait,
-        trace.as_mut(),
-        watch,
-        shared,
-    );
+        budget_ms,
+        queue_wait: rx.queue_wait,
+    };
+    let result = solve_core(job, trace.as_mut(), watch, shared);
+    let body = solve_reply(req.id.as_deref(), result, shared);
     attach_trace(body, trace, shared)
 }
 
-fn handle_generate(req: &GenerateRequest, queue_wait: Duration, shared: &Shared) -> String {
+fn handle_generate(req: &GenerateRequest, rx: &Received, shared: &Shared) -> String {
     let id = req.id.as_deref();
     let generated = match req.spec.build() {
         Ok(g) => g,
@@ -2579,44 +1644,33 @@ fn handle_generate(req: &GenerateRequest, queue_wait: Duration, shared: &Shared)
         }
     };
     let inst = Arc::new(generated.instance);
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".into(), id.into()));
+    let body = Envelope(id, "ok").with([
+        ("name", generated.name.as_str().into()),
+        ("family", inst.family().name().into()),
+        ("jobs", (inst.problem().n_jobs() as u64).into()),
+        ("machines", (inst.problem().n_machines() as u64).into()),
+        ("total_ops", (inst.total_ops() as u64).into()),
+        // The canonical hash exceeds 2^53 in general, so it travels
+        // as a hex string, never as a JSON number.
+        ("hash", format!("{:#018x}", inst.canonical_hash()).into()),
+        ("instance", inst.text().into()),
+    ]);
+    if !req.solve {
+        return body.encode();
     }
-    fields.push(("status".into(), "ok".into()));
-    fields.push(("name".into(), generated.name.as_str().into()));
-    fields.push(("family".into(), inst.family().name().into()));
-    fields.push(("jobs".into(), (inst.problem().n_jobs() as u64).into()));
-    fields.push((
-        "machines".into(),
-        (inst.problem().n_machines() as u64).into(),
-    ));
-    fields.push(("total_ops".into(), (inst.total_ops() as u64).into()));
-    // The canonical hash exceeds 2^53 in general, so it travels as a
-    // hex string, never as a JSON number.
-    fields.push((
-        "hash".into(),
-        format!("{:#018x}", inst.canonical_hash()).into(),
-    ));
-    fields.push(("instance".into(), inst.text().into()));
-    if req.solve {
-        let deadline_ms = effective_deadline_ms(req.deadline_ms, &shared.config);
-        let deadline = Instant::now() + Duration::from_millis(deadline_ms);
-        let body = solve_cached(
-            None,
-            &inst,
-            req.objective,
-            req.seed,
-            deadline,
-            deadline_ms,
-            queue_wait,
-            None,
-            None,
-            shared,
-        );
-        fields.push(("solution".into(), body));
-    }
-    Json::Obj(fields).encode()
+    let config = &shared.config;
+    let (budget_ms, deadline) = config.deadline(rx.at, req.deadline_ms, config.default_deadline_ms);
+    let job = SolveJob {
+        inst: &inst,
+        objective: req.objective,
+        seed: req.seed,
+        deadline,
+        budget_ms,
+        queue_wait: rx.queue_wait,
+    };
+    let solution = solve_reply(None, solve_core(job, None, None, shared), shared);
+    body.with_fields(usize::MAX, [("solution", solution)])
+        .encode()
 }
 
 /// Materialises a batch item's instance (named, inline or generated).
@@ -2634,56 +1688,35 @@ fn resolve_batch_source(source: &BatchSource) -> Result<Arc<LoadedInstance>, Str
 /// against the batch's shared absolute deadline.
 fn solve_batch_item(
     item: &BatchItem,
-    index: usize,
     batch: &BatchRequest,
     inst: &Arc<LoadedInstance>,
     deadline: Instant,
     shared: &Shared,
 ) -> Json {
-    let id = item.id.as_deref();
-    let objective = item.objective.unwrap_or(batch.objective);
-    let seed = item.seed.unwrap_or(batch.seed);
     // The honest per-item budget is whatever batch wall-clock is left
     // when this item starts — that (not the whole batch budget) is
     // what a cache entry may claim was spent on it. An exhausted
     // budget still answers: the race degrades to its first evaluated
     // generation (anytime semantics), and cache replays stay free.
-    let remaining_ms = deadline
-        .saturating_duration_since(Instant::now())
-        .as_millis() as u64;
-    with_index(
-        solve_cached(
-            id,
-            inst,
-            objective,
-            seed,
-            deadline,
-            remaining_ms,
-            Duration::ZERO,
-            None,
-            None,
-            shared,
-        ),
-        index,
-    )
+    let job = SolveJob {
+        inst,
+        objective: item.objective.unwrap_or(batch.objective),
+        seed: item.seed.unwrap_or(batch.seed),
+        deadline,
+        budget_ms: deadline
+            .saturating_duration_since(Instant::now())
+            .as_millis() as u64,
+        queue_wait: Duration::ZERO,
+    };
+    let result = solve_core(job, None, None, shared);
+    solve_reply(item.id.as_deref(), result, shared)
 }
 
-/// Prepends the item's zero-based `index` to a batch entry body.
-fn with_index(body: Json, index: usize) -> Json {
-    match body {
-        Json::Obj(mut fields) => {
-            fields.insert(0, ("index".into(), (index as u64).into()));
-            Json::Obj(fields)
-        }
-        other => other,
-    }
-}
-
-fn handle_batch(req: &BatchRequest, queue_wait: Duration, shared: &Shared) -> String {
-    let id = req.id.as_deref();
+fn handle_batch(req: &BatchRequest, rx: &Received, shared: &Shared) -> String {
     let started = Instant::now();
-    let deadline_ms = effective_deadline_ms(req.deadline_ms, &shared.config);
-    let deadline = started + Duration::from_millis(deadline_ms);
+    let config = &shared.config;
+    let (deadline_ms, deadline) =
+        config.deadline(rx.at, req.deadline_ms, config.default_deadline_ms);
     let n = req.items.len();
     // Identical items (same source, seed, objective) would all miss a
     // cold cache at the same instant and race the portfolio in
@@ -2731,27 +1764,21 @@ fn handle_batch(req: &BatchRequest, queue_wait: Duration, shared: &Shared) -> St
                 let Some(group) = groups.get(g) else { break };
                 // Sources are identical within a group by construction.
                 // panic-safe: every group is created non-empty and indexes req.items.
-                match resolve_batch_source(&req.items[group[0]].source) {
-                    Err(e) => {
-                        shared.stats.errors.add(group.len() as u64);
-                        for &i in group {
-                            // panic-safe: group indices enumerate req.items; slots has one
-                            // entry per item; poisoning means a sibling already panicked.
-                            let id = req.items[i].id.as_deref();
-                            *slots[i].lock().expect("slot poisoned") = // panic-safe: as above
-                                Some(with_index(error_json(id, &e), i));
+                let inst = resolve_batch_source(&req.items[group[0]].source);
+                for &i in group {
+                    // panic-safe: group indices enumerate req.items.
+                    let item = &req.items[i];
+                    let body = match &inst {
+                        Ok(inst) => solve_batch_item(item, req, inst, deadline, shared),
+                        Err(e) => {
+                            shared.stats.errors.inc();
+                            error_json(item.id.as_deref(), e)
                         }
-                    }
-                    Ok(inst) => {
-                        for &i in group {
-                            // panic-safe: group indices enumerate req.items; slots has one
-                            // entry per item; poisoning means a sibling already panicked.
-                            let body = // panic-safe: as above
-                                solve_batch_item(&req.items[i], i, req, &inst, deadline, shared);
-                            // panic-safe: as above
-                            *slots[i].lock().expect("slot poisoned") = Some(body);
-                        }
-                    }
+                    };
+                    let body = body.with_fields(0, [("index", (i as u64).into())]);
+                    // panic-safe: slots has one entry per item; poisoning
+                    // means a sibling lane already panicked.
+                    *slots[i].lock().expect("slot poisoned") = Some(body);
                 }
             });
         }
@@ -2773,26 +1800,24 @@ fn handle_batch(req: &BatchRequest, queue_wait: Duration, shared: &Shared) -> St
         .filter(|b| b.get("cached").and_then(Json::as_bool) == Some(true))
         .count();
 
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".into(), id.into()));
-    }
-    fields.push(("status".into(), "ok".into()));
-    fields.push(("count".into(), (n as u64).into()));
-    fields.push(("ok".into(), (ok as u64).into()));
-    fields.push(("items".into(), Json::Arr(items)));
-    fields.push((
-        "telemetry".into(),
-        obj([
-            ("queue_wait_us", (queue_wait.as_micros() as u64).into()),
-            ("batch_ms", (started.elapsed().as_millis() as u64).into()),
-            ("deadline_ms", deadline_ms.into()),
-            ("fanout", (fanout as u64).into()),
-            ("cache_hits", (hits as u64).into()),
-            ("errors", ((n - ok) as u64).into()),
-        ]),
-    ));
-    Json::Obj(fields).encode()
+    Envelope(req.id.as_deref(), "ok")
+        .with([
+            ("count", (n as u64).into()),
+            ("ok", (ok as u64).into()),
+            ("items", Json::Arr(items)),
+            (
+                "telemetry",
+                obj([
+                    ("queue_wait_us", (rx.queue_wait.as_micros() as u64).into()),
+                    ("batch_ms", (started.elapsed().as_millis() as u64).into()),
+                    ("deadline_ms", deadline_ms.into()),
+                    ("fanout", (fanout as u64).into()),
+                    ("cache_hits", (hits as u64).into()),
+                    ("errors", ((n - ok) as u64).into()),
+                ]),
+            ),
+        ])
+        .encode()
 }
 
 #[cfg(test)]
@@ -4181,6 +3206,77 @@ mod tests {
             .collect()
     }
 
+    /// A traced watched solve runs the plain solve's body: its trace
+    /// has the plain trace's spans in the same order — the `parse` span
+    /// the dispatcher measured included — under kind `watch`.
+    #[test]
+    fn traced_watch_records_the_plain_solve_spans() {
+        // Total completion time has no certifiable target, so every
+        // member runs to the generation cap and both span lists are
+        // independent of timing.
+        let solve = SolveRequest {
+            id: None,
+            instance: InstanceSpec::Named("ft06".into()),
+            objective: Objective::TotalCompletion,
+            seed: 9,
+            deadline_ms: 10_000,
+            trace: true,
+        };
+        let spans_of = |line: &str| -> (String, Vec<(String, u64)>) {
+            let body = crate::json::parse(line).unwrap();
+            let trace = body.get("trace").expect("traced request returns a trace");
+            let spans = trace.get("spans").unwrap().as_arr().unwrap();
+            let spans = spans
+                .iter()
+                .map(|s| {
+                    let name = s.get("name").unwrap().as_str().unwrap();
+                    (name.to_string(), s.get("dur_us").unwrap().as_u64().unwrap())
+                })
+                .collect();
+            (
+                trace.get("kind").unwrap().as_str().unwrap().to_string(),
+                spans,
+            )
+        };
+        let plain = Service::bind(tiny_config()).unwrap();
+        let line = encode_request(&solve);
+        let (plain_kind, plain_spans) = spans_of(&send_lines(plain.local_addr(), &[line])[0]);
+        plain.shutdown();
+        let watched = Service::bind(tiny_config()).unwrap();
+        let line = crate::protocol::encode_watch(&WatchTarget::Solve(solve));
+        let lines = watch_lines(watched.local_addr(), &line);
+        let (watch_kind, watch_spans) = spans_of(lines.last().unwrap());
+        watched.shutdown();
+        assert_eq!(plain_kind, "solve");
+        assert_eq!(watch_kind, "watch");
+        let names = |spans: &[(String, u64)]| -> Vec<String> {
+            spans.iter().map(|(name, _)| name.clone()).collect()
+        };
+        assert_eq!(names(&watch_spans), names(&plain_spans));
+        assert_eq!(plain_spans[0].0, "parse");
+        // Parsing a request line takes whole microseconds in any build,
+        // so a zero `parse` span means the measured time was dropped.
+        assert!(watch_spans[0].1 > 0, "{watch_spans:?}");
+    }
+
+    /// Deadlines count from the instant the line was received, not from
+    /// whenever the handler gets round to computing them.
+    #[test]
+    fn deadline_counts_from_line_receipt() {
+        let config = ServeConfig::default();
+        let receipt = Instant::now()
+            .checked_sub(Duration::from_millis(50))
+            .unwrap();
+        let (ms, deadline) = config.deadline(receipt, 200, config.default_deadline_ms);
+        assert_eq!(ms, 200);
+        assert_eq!(deadline, receipt + Duration::from_millis(200));
+        assert!(deadline < Instant::now() + Duration::from_millis(200));
+        // 0 asks for the caller's default; past the maximum clamps.
+        assert_eq!(config.deadline(receipt, 0, 7).0, 7);
+        let (clamped, _) = config.deadline(receipt, u64::MAX, 7);
+        assert_eq!(clamped, config.max_deadline_ms);
+    }
+
     /// A watched solve streams convergence frames and ends with an
     /// answer bit-identical to an unwatched run of the same request;
     /// the race also populates the phase histograms and the cost-model
@@ -4351,114 +3447,6 @@ mod tests {
         service.shutdown();
     }
 
-    /// Builds a [`SocketWatchSink`] (queue, writer thread, optional
-    /// replay channel) over one end of a fresh localhost socket pair.
-    /// Returns the sink, the server-side stream it writes to and the
-    /// client-side stream a test can read (or stall) at will.
-    fn test_sink(with_channel: bool) -> (SocketWatchSink, TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (server_side, _) = listener.accept().unwrap();
-        let q = Arc::new(WatchQueue::default());
-        let handle = {
-            let q = Arc::clone(&q);
-            let mut sock = server_side.try_clone().unwrap();
-            std::thread::spawn(move || SocketWatchSink::drain_to(&q, &mut sock))
-        };
-        let sink = SocketWatchSink {
-            q,
-            channel: with_channel.then(|| Arc::new(WatchChannel::new())),
-            writer: Mutex::new(Some(handle)),
-        };
-        (sink, server_side, client)
-    }
-
-    /// Reads every line from `client` until EOF.
-    fn read_all_lines(client: TcpStream) -> std::thread::JoinHandle<Vec<String>> {
-        std::thread::spawn(move || {
-            let mut lines = Vec::new();
-            let mut reader = BufReader::new(client);
-            loop {
-                let mut l = String::new();
-                if reader.read_line(&mut l).unwrap_or(0) == 0 {
-                    return lines;
-                }
-                lines.push(l.trim().to_string());
-            }
-        })
-    }
-
-    /// A watcher that stops reading must cost the race nothing: once
-    /// the kernel buffers and the bounded queue are full, emits drop
-    /// the frame (counted) and return instead of blocking the racer
-    /// thread on the socket. The answer frame still arrives, last.
-    #[test]
-    fn watch_sink_drops_frames_for_a_stalled_subscriber_without_blocking() {
-        let (sink, server_side, client) = test_sink(false);
-        // ~32 MB of frames at a client that reads nothing — far beyond
-        // any kernel send+receive buffer plus the 4096-frame queue, so
-        // the pre-fix blocking sink would wedge this loop forever.
-        let pad: String = "x".repeat(1024);
-        let frame = obj([("frame", "sample".into()), ("pad", pad.into())]);
-        for _ in 0..32_000 {
-            sink.emit(&frame);
-        }
-        assert!(
-            sink.q.state.lock().unwrap().dropped > 0,
-            "overflow beyond the queue cap is dropped, not buffered"
-        );
-        // Now drain the client so close() can flush the pending tail.
-        let reader = read_all_lines(client);
-        let (dropped, io) = sink.close(r#"{"frame":"answer"}"#.to_string());
-        assert!(dropped > 0);
-        io.unwrap();
-        drop(sink);
-        drop(server_side);
-        let lines = reader.join().unwrap();
-        assert!(lines.len() < 32_001, "some frames were shed");
-        assert_eq!(
-            lines.last().map(String::as_str),
-            Some(r#"{"frame":"answer"}"#)
-        );
-    }
-
-    /// Emits after the sink is sealed — the straggler case: a pooled
-    /// member popped just before cancellation can finish after
-    /// `race_core_hooked` returned at the deadline — are dropped everywhere,
-    /// so the answer frame stays the last line on the socket (framing
-    /// of later requests on the connection survives) and in the
-    /// replay channel (attach replays match the origin stream).
-    #[test]
-    fn watch_sink_silences_straggler_emits_after_close() {
-        let (sink, server_side, client) = test_sink(true);
-        sink.emit(&obj([("frame", "sample".into())]));
-        let reader = read_all_lines(client);
-        let (dropped, io) = sink.close(r#"{"frame":"answer"}"#.to_string());
-        assert_eq!(dropped, 0);
-        io.unwrap();
-        sink.emit(&obj([("frame", "finish".into())]));
-        let log = sink.channel.as_ref().unwrap().state.lock().unwrap();
-        assert!(log.done, "replay channel closed with the answer");
-        let kinds: Vec<&str> = log
-            .frames
-            .iter()
-            .map(|l| {
-                if l.contains("answer") {
-                    "answer"
-                } else {
-                    "other"
-                }
-            })
-            .collect();
-        assert_eq!(kinds, ["other", "answer"], "nothing trails the answer");
-        drop(log);
-        drop(sink);
-        drop(server_side);
-        let lines = reader.join().unwrap();
-        assert_eq!(lines.len(), 2, "{lines:?}");
-        assert_eq!(lines[1], r#"{"frame":"answer"}"#);
-    }
-
     /// A watch id already carried by an in-flight race is rejected
     /// with an error line: re-attach must be unambiguous, and the
     /// rejection must leave the running race's registration (and its
@@ -4499,43 +3487,6 @@ mod tests {
         );
         // The id is free again after the race finished.
         assert!(!service.shared.watches.lock().unwrap().contains_key("dup"));
-        service.shutdown();
-    }
-
-    /// A watch handler that unwinds before `finish_watch` (a panicking
-    /// inline member is an expected failure mode) must not leak its
-    /// hub registration or strand attached followers on the channel
-    /// condvar. Dropping an armed [`WatchGuard`] is exactly what the
-    /// unwind does.
-    #[test]
-    fn watch_guard_unregisters_and_releases_followers_on_unwind() {
-        let service = Service::bind(tiny_config()).unwrap();
-        let shared = &service.shared;
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (mut server_side, _) = listener.accept().unwrap();
-        let sink = register_watch(&mut server_side, Some("leak-1"), shared)
-            .unwrap()
-            .expect("fresh id registers");
-        assert!(shared.watches.lock().unwrap().contains_key("leak-1"));
-        let channel = Arc::clone(sink.channel.as_ref().unwrap());
-        let guard = WatchGuard {
-            id: Some("leak-1"),
-            sink: Arc::clone(&sink),
-            shared,
-            armed: true,
-        };
-        drop(guard);
-        assert!(
-            !shared.watches.lock().unwrap().contains_key("leak-1"),
-            "unwind removes the hub entry"
-        );
-        assert!(
-            channel.state.lock().unwrap().done,
-            "unwind closes the channel"
-        );
-        // A follower's stream_to terminates instead of waiting forever.
-        channel.stream_to(&mut server_side).unwrap();
         service.shutdown();
     }
 

@@ -249,34 +249,10 @@ impl SessionRegistry {
     /// clamps it either way. At capacity the least-recently-used
     /// session is evicted.
     pub fn open(&self, state: SessionState, ttl_ms: u64) -> String {
-        let ttl = match ttl_ms {
-            0 => self.config.default_ttl,
-            ms => Duration::from_millis(ms).min(self.config.max_ttl),
-        };
         let id = format!("sess-{}", self.next_id.fetch_add(1, Ordering::Relaxed) + 1);
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let mut slots = self.slots.lock().expect("session registry poisoned");
         self.sweep(&mut slots);
-        while slots.len() >= self.config.max_sessions {
-            let Some(lru) = slots
-                .iter()
-                .min_by_key(|(_, s)| s.stamp)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            slots.remove(&lru);
-            self.counters.evicted.fetch_add(1, Ordering::Relaxed);
-        }
-        slots.insert(
-            id.clone(),
-            Slot {
-                stamp,
-                last_touch: Instant::now(),
-                ttl,
-                entry: Arc::new(Mutex::new(state)),
-            },
-        );
+        self.insert(&mut slots, id.clone(), state, ttl_ms);
         self.counters.opened.fetch_add(1, Ordering::Relaxed);
         id
     }
@@ -287,7 +263,8 @@ impl SessionRegistry {
     /// the id is already live (two requests racing the same recovery)
     /// the state on hand is dropped and the live entry returned, so a
     /// session never forks. Returns the entry plus whether this call
-    /// actually inserted (and counted) the recovery.
+    /// actually inserted (and counted) the recovery. TTL and capacity
+    /// rules are [`SessionRegistry::open`]'s.
     ///
     /// The id minter is bumped past any recovered `sess-<n>` so a
     /// post-restart `session_open` can never re-issue a recovered id.
@@ -300,16 +277,31 @@ impl SessionRegistry {
         if let Some(n) = id.strip_prefix("sess-").and_then(|n| n.parse::<u64>().ok()) {
             self.next_id.fetch_max(n, Ordering::Relaxed);
         }
-        let ttl = match ttl_ms {
-            0 => self.config.default_ttl,
-            ms => Duration::from_millis(ms).min(self.config.max_ttl),
-        };
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let mut slots = self.slots.lock().expect("session registry poisoned");
         self.sweep(&mut slots);
         if let Some(live) = slots.get(id) {
             return (Arc::clone(&live.entry), false);
         }
+        let entry = self.insert(&mut slots, id.to_string(), state, ttl_ms);
+        self.counters.recovered.fetch_add(1, Ordering::Relaxed);
+        (entry, true)
+    }
+
+    /// Inserts a session as the most recently used, under its TTL
+    /// (`ttl_ms` 0 = the default, clamped to the maximum), after
+    /// evicting least-recently-used sessions down to capacity. Called
+    /// with the map lock held.
+    fn insert(
+        &self,
+        slots: &mut HashMap<String, Slot>,
+        id: String,
+        state: SessionState,
+        ttl_ms: u64,
+    ) -> Arc<Mutex<SessionState>> {
+        let ttl = match ttl_ms {
+            0 => self.config.default_ttl,
+            ms => Duration::from_millis(ms).min(self.config.max_ttl),
+        };
         while slots.len() >= self.config.max_sessions {
             let Some(lru) = slots
                 .iter()
@@ -323,16 +315,15 @@ impl SessionRegistry {
         }
         let entry = Arc::new(Mutex::new(state));
         slots.insert(
-            id.to_string(),
+            id,
             Slot {
-                stamp,
+                stamp: self.clock.fetch_add(1, Ordering::Relaxed) + 1,
                 last_touch: Instant::now(),
                 ttl,
                 entry: Arc::clone(&entry),
             },
         );
-        self.counters.recovered.fetch_add(1, Ordering::Relaxed);
-        (entry, true)
+        entry
     }
 
     /// Looks up (and touches) a session. `None` when unknown or
@@ -783,6 +774,26 @@ mod tests {
         assert!(reg.get(&a).is_some());
         assert!(reg.get(&c).is_some());
         assert_eq!(reg.gauges().evicted, 1);
+    }
+
+    #[test]
+    fn restore_at_capacity_evicts_the_lru_session() {
+        let reg = SessionRegistry::new(SessionConfig {
+            max_sessions: 2,
+            ..cfg()
+        });
+        let a = reg.open(open_state(1), 0);
+        let b = reg.open(open_state(2), 0);
+        // Touch a so b becomes the LRU.
+        assert!(reg.get(&a).is_some());
+        let (_, inserted) = reg.restore("sess-9", open_state(3), 0);
+        assert!(inserted);
+        assert_eq!(reg.len(), 2);
+        assert!(reg.get(&b).is_none(), "LRU session must be evicted");
+        assert!(reg.get(&a).is_some());
+        assert!(reg.get("sess-9").is_some());
+        let g = reg.gauges();
+        assert_eq!((g.evicted, g.recovered), (1, 1));
     }
 
     #[test]
