@@ -31,7 +31,7 @@
 
 use crate::protocol::{Objective, Solution};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// What uniquely identifies a solve, for caching purposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -300,6 +300,72 @@ impl ShardedCache {
     }
 }
 
+/// The name → canonical-hash memo in front of the cache: a repeated
+/// request for a named instance builds its [`CacheKey`] from here
+/// instead of regenerating and hashing the instance, which is then
+/// materialised only when the cache cannot answer. It holds hashes,
+/// never instances (a `gen-*` name can stand for 10 million
+/// operations), and only names that loaded successfully. At most
+/// `capacity` names are kept; the least recently used one goes first.
+pub(crate) struct NameMemo {
+    state: Mutex<MemoState>,
+    capacity: usize,
+}
+
+#[derive(Default)]
+struct MemoState {
+    /// Name → (canonical hash, recency stamp).
+    map: HashMap<String, (u64, u64)>,
+    clock: u64,
+}
+
+impl NameMemo {
+    /// An empty memo holding at most `capacity` names (>= 1).
+    pub(crate) fn new(capacity: usize) -> NameMemo {
+        NameMemo {
+            state: Mutex::default(),
+            capacity: capacity.max(1),
+        }
+    }
+
+    fn state(&self) -> std::sync::MutexGuard<'_, MemoState> {
+        // A poisoned memo still holds valid (name, hash) pairs.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The memoised hash of `name`, touching it as most recently used.
+    pub(crate) fn get(&self, name: &str) -> Option<u64> {
+        let mut s = self.state();
+        s.clock += 1;
+        let clock = s.clock;
+        s.map.get_mut(name).map(|(hash, stamp)| {
+            *stamp = clock;
+            *hash
+        })
+    }
+
+    /// Memoises `name`'s hash, evicting the least recently used name
+    /// when over capacity.
+    pub(crate) fn insert(&self, name: &str, hash: u64) {
+        let mut s = self.state();
+        s.clock += 1;
+        let clock = s.clock;
+        s.map.insert(name.to_string(), (hash, clock));
+        if s.map.len() > self.capacity {
+            let lru = s.map.iter().min_by_key(|(_, &(_, stamp))| stamp);
+            if let Some(lru) = lru.map(|(name, _)| name.clone()) {
+                s.map.remove(&lru);
+            }
+        }
+    }
+
+    /// Names currently memoised.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.state().map.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,5 +627,17 @@ mod tests {
             !bound.replayable_for(1_001),
             "larger budget could improve a deadline-bound result"
         );
+    }
+
+    #[test]
+    fn name_memo_is_bounded_and_evicts_least_recently_used() {
+        let memo = NameMemo::new(2);
+        memo.insert("a", 1);
+        memo.insert("b", 2);
+        assert_eq!(memo.get("a"), Some(1)); // "b" is now the LRU name
+        memo.insert("c", 3);
+        assert_eq!(memo.len(), 2);
+        assert_eq!(memo.get("b"), None);
+        assert_eq!((memo.get("a"), memo.get("c")), (Some(1), Some(3)));
     }
 }

@@ -7,8 +7,15 @@
 //! point and [`Json::as_u64`] only succeeds on exact non-negative
 //! integers, so `u64` fields survive a round trip unchanged up to
 //! 2^53 - 1 (documented protocol limit for seeds and ids).
+//!
+//! The writer allocates nothing beyond the output `String`: integers
+//! are written digit by digit, other numbers are formatted straight
+//! into the output, and string runs that need no escaping are copied
+//! in one piece. It emits exactly the bytes the earlier
+//! `format!`-per-number writer did; `tests/json_props.rs` keeps that
+//! writer as a reference and checks byte identity on arbitrary trees.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -190,26 +197,67 @@ impl From<String> for Json {
 
 fn write_number(v: f64, out: &mut String) {
     if v.fract() == 0.0 && v.abs() < 9_007_199_254_740_992.0 {
-        out.push_str(&format!("{}", v as i64));
+        write_integer(v as i64, out);
     } else {
-        out.push_str(&format!("{v}"));
+        // Fractions and magnitudes past 2^53 keep Rust's shortest
+        // round-trip spelling, formatted straight into `out`; writing
+        // to a `String` cannot fail.
+        let _ = write!(out, "{v}");
     }
 }
 
+/// Appends `n` in decimal, most significant digit first, without an
+/// intermediate buffer (`|n| < 2^53` on every call, but any `i64` is
+/// spelled correctly).
+fn write_integer(n: i64, out: &mut String) {
+    if n < 0 {
+        out.push('-');
+    }
+    let n = n.unsigned_abs();
+    let mut place = 1u64;
+    while place <= n / 10 {
+        place *= 10;
+    }
+    loop {
+        out.push(char::from(b'0' + (n / place % 10) as u8));
+        if place == 1 {
+            return;
+        }
+        place /= 10;
+    }
+}
+
+/// Appends `s` as a JSON string literal. Runs that need no escaping
+/// are copied in one piece; only `"`, `\` and control characters are
+/// rewritten (every one of them ASCII, so each cut is a char boundary).
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut clean_from = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "\\u00",
+            _ => continue,
+        };
+        out.push_str(s.get(clean_from..i).unwrap_or_default());
+        out.push_str(escape);
+        if escape == "\\u00" {
+            out.push(hex_digit(b >> 4));
+            out.push(hex_digit(b & 0xf));
         }
+        clean_from = i + 1;
     }
+    out.push_str(s.get(clean_from..).unwrap_or_default());
     out.push('"');
+}
+
+/// The lowercase hex digit of a nibble (`n < 16`).
+fn hex_digit(n: u8) -> char {
+    char::from(if n < 10 { b'0' + n } else { b'a' + n - 10 })
 }
 
 /// Parses one JSON value; the whole input must be consumed (trailing

@@ -27,7 +27,7 @@
 //! its plain twin's body with a sink hooked into the race (the watch
 //! hub lives in `watch.rs`, the session handlers in `sessions.rs`).
 
-use crate::cache::{CacheKey, CachedSolve, ShardedCache};
+use crate::cache::{CacheKey, CachedSolve, NameMemo, ShardedCache};
 use crate::json::{obj, Json};
 use crate::obs::metrics::{Counter, Gauge, Histogram, Registry};
 use crate::obs::phase::{PhaseAcc, PHASE_NAMES};
@@ -40,7 +40,7 @@ use crate::protocol::{
 };
 use crate::scheduler::RacerPool;
 use crate::session::{SessionConfig, SessionGauges, SessionRegistry};
-use crate::solver::{load_instance, solve_hooked, LoadedInstance, SolveHooks};
+use crate::solver::{load_instance, solve_hooked, LoadError, LoadedInstance, SolveHooks};
 use pga::telemetry::RequestTelemetry;
 use shop::schedule::Schedule;
 use std::collections::{HashMap, VecDeque};
@@ -638,6 +638,10 @@ struct Shared {
     ready: Condvar,
     shutdown: AtomicBool,
     cache: ShardedCache,
+    /// Name → canonical hash of every named instance solved lately, so
+    /// a repeated name reaches the cache without reloading (see
+    /// [`NameMemo`]); bounded by `cache_capacity`.
+    names: NameMemo,
     /// The persistent racer pool every race on this service shares
     /// (see [`crate::scheduler`]): compute threads are bounded by its
     /// size plus the worker count, independent of in-flight requests.
@@ -730,6 +734,7 @@ impl Service {
         };
         let shared = Arc::new(Shared {
             cache: ShardedCache::new(config.cache_capacity, config.cache_shards),
+            names: NameMemo::new(config.cache_capacity),
             pool: RacerPool::new(config.racer_pool),
             sessions: SessionRegistry::new(SessionConfig {
                 default_ttl: Duration::from_millis(config.session_ttl_ms.max(1)),
@@ -1050,7 +1055,7 @@ fn handle_connection(stream: TcpStream, queue_wait: Duration, shared: &Shared) {
                 return;
             }
             Ok(LineRead::TooLarge) => {
-                let _ = writeln!(writer, "{}", encode_error(None, "request too large"));
+                let _ = write_lines(&mut writer, &[encode_error(None, "request too large")]);
                 return;
             }
             Ok(LineRead::Line) => {
@@ -1089,10 +1094,10 @@ fn respond(
     queue_wait: &mut Option<Duration>,
     shared: &Shared,
 ) -> std::io::Result<bool> {
-    let text = String::from_utf8_lossy(buf).trim().to_string();
-    buf.clear();
     let wait = queue_wait.take().unwrap_or(Duration::ZERO);
-    match handle_line(&text, wait, writer, shared)? {
+    let outcome = handle_line(String::from_utf8_lossy(buf).trim(), wait, writer, shared);
+    buf.clear();
+    match outcome? {
         LineOutcome::Reply(response, stop) => {
             write_lines(writer, &[response])?;
             Ok(!stop)
@@ -1101,11 +1106,16 @@ fn respond(
     }
 }
 
-/// Writes response lines and flushes them.
-fn write_lines(writer: &mut TcpStream, lines: &[impl std::fmt::Display]) -> std::io::Result<()> {
+/// Writes response lines, each with its `\n`, as one buffer in one
+/// `write_all`: a reply or a watch batch costs one `write` call (one
+/// TCP segment under `TCP_NODELAY`), not two per line.
+fn write_lines<W: Write>(writer: &mut W, lines: &[impl AsRef<str>]) -> std::io::Result<()> {
+    let mut out = String::with_capacity(lines.iter().map(|l| l.as_ref().len() + 1).sum());
     for line in lines {
-        writeln!(writer, "{line}")?;
+        out.push_str(line.as_ref());
+        out.push('\n');
     }
+    writer.write_all(out.as_bytes())?;
     writer.flush()
 }
 
@@ -1278,7 +1288,7 @@ fn handle_line(
             Ok(LineOutcome::Reply(body.encode(), true))
         }
         Ok(Request::Solve(req)) => reply(
-            match load_or_error(&req.instance, req.id.as_deref(), shared) {
+            match resolve_or_error(&req.instance, req.id.as_deref(), shared) {
                 Ok(inst) => handle_solve(&req, &inst, &rx, None, shared),
                 Err(body) => body,
             }
@@ -1298,7 +1308,7 @@ fn handle_line(
                 WatchTarget::Attach { request } => watch::attach_watch(writer, &request, shared),
                 WatchTarget::Solve(req) => {
                     let id = req.id.as_deref();
-                    match load_or_error(&req.instance, id, shared) {
+                    match resolve_or_error(&req.instance, id, shared) {
                         Ok(inst) => watch::watched(writer, id, shared, |sink| {
                             handle_solve(&req, &inst, &rx, Some(sink), shared)
                         }),
@@ -1335,6 +1345,77 @@ fn load_or_error(
     })
 }
 
+/// A solve's instance as far as [`solve_core`] needs it: the canonical
+/// hash that keys the cache, and the instance itself — or, for a name
+/// the memo already knew, the spec it is loaded from on a cache miss.
+enum SolveInstance<'a> {
+    /// Materialised: inline text, a generated or batch-group instance,
+    /// a session's, or a name on its first load.
+    Loaded {
+        inst: Arc<LoadedInstance>,
+        hash: u64,
+    },
+    /// A named instance whose hash came from [`Shared::names`]; nothing
+    /// is loaded unless the cache cannot answer.
+    Memoised { spec: &'a InstanceSpec, hash: u64 },
+}
+
+impl SolveInstance<'_> {
+    fn loaded(inst: Arc<LoadedInstance>) -> SolveInstance<'static> {
+        let hash = inst.canonical_hash();
+        SolveInstance::Loaded { inst, hash }
+    }
+
+    fn hash(&self) -> u64 {
+        match self {
+            SolveInstance::Loaded { hash, .. } | SolveInstance::Memoised { hash, .. } => *hash,
+        }
+    }
+
+    /// The instance, loading a memoised name now.
+    fn materialise(&self) -> Result<Arc<LoadedInstance>, LoadError> {
+        match self {
+            SolveInstance::Loaded { inst, .. } => Ok(Arc::clone(inst)),
+            SolveInstance::Memoised { spec, .. } => load_instance(spec).map(Arc::new),
+        }
+    }
+}
+
+/// Resolves a solve's instance spec: a memoised name costs one memo
+/// lookup; anything else is loaded (and a name that loads is
+/// memoised). Names that fail to load are never memoised, so they get
+/// the loader's error every time.
+fn resolve_instance<'a>(
+    spec: &'a InstanceSpec,
+    shared: &Shared,
+) -> Result<SolveInstance<'a>, LoadError> {
+    let name = match spec {
+        InstanceSpec::Named(name) => Some(name.as_str()),
+        InstanceSpec::Inline { .. } => None,
+    };
+    if let Some(hash) = name.and_then(|n| shared.names.get(n)) {
+        return Ok(SolveInstance::Memoised { spec, hash });
+    }
+    let inst = SolveInstance::loaded(Arc::new(load_instance(spec)?));
+    if let Some(name) = name {
+        shared.names.insert(name, inst.hash());
+    }
+    Ok(inst)
+}
+
+/// [`resolve_instance`] for a request: a failed load is counted and
+/// comes back as the request's error body.
+fn resolve_or_error<'a>(
+    spec: &'a InstanceSpec,
+    id: Option<&str>,
+    shared: &Shared,
+) -> Result<SolveInstance<'a>, Json> {
+    resolve_instance(spec, shared).map_err(|e| {
+        shared.stats.errors.inc();
+        error_json(id, &e.to_string())
+    })
+}
+
 /// What [`solve_core`] hands back on success: the (possibly memoised)
 /// solution plus the telemetry describing how it was obtained.
 struct CoreOutcome {
@@ -1354,7 +1435,7 @@ enum CoreFail {
 
 /// What one solve asks of [`solve_core`].
 struct SolveJob<'a> {
-    inst: &'a Arc<LoadedInstance>,
+    inst: &'a SolveInstance<'a>,
     objective: Objective,
     seed: u64,
     /// Absolute end of the race (see [`ServeConfig::deadline`]).
@@ -1368,12 +1449,14 @@ struct SolveJob<'a> {
     queue_wait: Duration,
 }
 
-/// The one solve entry: cache lookup → admission → race → validate →
-/// insert, for plain and watched solves, generate+solve, batch items
-/// and `session_open` (which keeps the [`Solution`] itself; the others
-/// render the outcome with [`solve_reply`]). A `watch` sink subscribes
-/// the caller to the race's live convergence frames; cache hits race
-/// nothing and therefore stream nothing.
+/// The one solve entry: cache lookup → admission → load → race →
+/// validate → insert, for plain and watched solves, generate+solve,
+/// batch items and `session_open` (which keeps the [`Solution`] itself;
+/// the others render the outcome with [`solve_reply`]). The cache key
+/// needs only the instance hash, so a memoised name is loaded only
+/// when the cache cannot answer. A `watch` sink subscribes the caller
+/// to the race's live convergence frames; cache hits race nothing and
+/// therefore stream nothing.
 fn solve_core(
     job: SolveJob<'_>,
     mut trace: Option<&mut Trace>,
@@ -1389,7 +1472,7 @@ fn solve_core(
         queue_wait,
     } = job;
     let key = CacheKey {
-        instance: inst.canonical_hash(),
+        instance: inst.hash(),
         objective,
         seed,
     };
@@ -1447,6 +1530,12 @@ fn solve_core(
         return Err(CoreFail::Busy { depth });
     }
     shared.stats.cache_misses.inc();
+    // A memoised name cannot fail to load again (generation is
+    // deterministic); were it to, the request gets the loader's error.
+    let inst = &inst.materialise().map_err(|e| {
+        shared.stats.errors.inc();
+        CoreFail::Internal(e.to_string())
+    })?;
 
     let solve_started = Instant::now();
     let race_start = trace.as_deref().map(Trace::elapsed_us);
@@ -1613,7 +1702,7 @@ fn attach_trace(body: Json, trace: Option<Trace>, shared: &Shared) -> Json {
 /// [`solve_core`] under the request's budget and attaches its trace.
 fn handle_solve(
     req: &SolveRequest,
-    inst: &Arc<LoadedInstance>,
+    inst: &SolveInstance<'_>,
     rx: &Received,
     watch: Option<Arc<dyn WatchSink>>,
     shared: &Shared,
@@ -1644,6 +1733,7 @@ fn handle_generate(req: &GenerateRequest, rx: &Received, shared: &Shared) -> Str
         }
     };
     let inst = Arc::new(generated.instance);
+    let hash = inst.canonical_hash();
     let body = Envelope(id, "ok").with([
         ("name", generated.name.as_str().into()),
         ("family", inst.family().name().into()),
@@ -1652,7 +1742,7 @@ fn handle_generate(req: &GenerateRequest, rx: &Received, shared: &Shared) -> Str
         ("total_ops", (inst.total_ops() as u64).into()),
         // The canonical hash exceeds 2^53 in general, so it travels
         // as a hex string, never as a JSON number.
-        ("hash", format!("{:#018x}", inst.canonical_hash()).into()),
+        ("hash", format!("{hash:#018x}").into()),
         ("instance", inst.text().into()),
     ]);
     if !req.solve {
@@ -1661,7 +1751,7 @@ fn handle_generate(req: &GenerateRequest, rx: &Received, shared: &Shared) -> Str
     let config = &shared.config;
     let (budget_ms, deadline) = config.deadline(rx.at, req.deadline_ms, config.default_deadline_ms);
     let job = SolveJob {
-        inst: &inst,
+        inst: &SolveInstance::Loaded { inst, hash },
         objective: req.objective,
         seed: req.seed,
         deadline,
@@ -1673,23 +1763,27 @@ fn handle_generate(req: &GenerateRequest, rx: &Received, shared: &Shared) -> Str
         .encode()
 }
 
-/// Materialises a batch item's instance (named, inline or generated).
-fn resolve_batch_source(source: &BatchSource) -> Result<Arc<LoadedInstance>, String> {
+/// Resolves a batch item's instance: a named or inline spec as a solve
+/// would ([`resolve_instance`]), a generate spec by building it.
+fn resolve_batch_source<'a>(
+    source: &'a BatchSource,
+    shared: &Shared,
+) -> Result<SolveInstance<'a>, String> {
     match source {
-        BatchSource::Instance(spec) => load_instance(spec).map(Arc::new).map_err(|e| e.to_string()),
+        BatchSource::Instance(spec) => resolve_instance(spec, shared).map_err(|e| e.to_string()),
         BatchSource::Generate(spec) => spec
             .build()
-            .map(|g| Arc::new(g.instance))
+            .map(|g| SolveInstance::loaded(Arc::new(g.instance)))
             .map_err(|e| e.to_string()),
     }
 }
 
-/// Solves one batch item (instance already materialised by its group)
-/// against the batch's shared absolute deadline.
+/// Solves one batch item (instance resolved once by its group) against
+/// the batch's shared absolute deadline.
 fn solve_batch_item(
     item: &BatchItem,
     batch: &BatchRequest,
-    inst: &Arc<LoadedInstance>,
+    inst: &SolveInstance<'_>,
     deadline: Instant,
     shared: &Shared,
 ) -> Json {
@@ -1724,7 +1818,7 @@ fn handle_batch(req: &BatchRequest, rx: &Received, shared: &Shared) -> String {
     // Group them so a group's first item races and the later ones
     // replay the entry it lands (their remaining budget can only be
     // smaller, so the replay rule always accepts), and the shared
-    // instance is materialised once per group rather than per item.
+    // instance is resolved once per group rather than per item.
     // Grouping keys on the request *spec*; differently-spelled
     // duplicates still race separately and reconcile through
     // `insert_best`.
@@ -1764,7 +1858,7 @@ fn handle_batch(req: &BatchRequest, rx: &Received, shared: &Shared) -> String {
                 let Some(group) = groups.get(g) else { break };
                 // Sources are identical within a group by construction.
                 // panic-safe: every group is created non-empty and indexes req.items.
-                let inst = resolve_batch_source(&req.items[group[0]].source);
+                let inst = resolve_batch_source(&req.items[group[0]].source, shared);
                 for &i in group {
                     // panic-safe: group indices enumerate req.items.
                     let item = &req.items[i];
@@ -3543,6 +3637,178 @@ mod tests {
         );
         assert_eq!(kinds_of(&responses[4]), vec!["session_event".to_string()]);
         assert!(kinds_of(&responses[5]).is_empty());
+        service.shutdown();
+    }
+
+    /// A writer that records how many `write` calls reach it.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_lines_makes_one_write_per_reply_and_per_watch_batch() {
+        let mut w = CountingWriter::default();
+        write_lines(&mut w, &[r#"{"status":"ok"}"#]).unwrap();
+        assert_eq!(w.writes, 1, "one reply, one write");
+        assert_eq!(w.bytes, b"{\"status\":\"ok\"}\n");
+        let batch: Vec<String> = (0..5).map(|i| format!(r#"{{"frame":{i}}}"#)).collect();
+        write_lines(&mut w, &batch).unwrap();
+        assert_eq!(w.writes, 2, "a batch of 5 frames is one more write");
+        let text = String::from_utf8(w.bytes).unwrap();
+        assert_eq!(text.lines().count(), 6);
+        assert!(text.ends_with("{\"frame\":4}\n"));
+    }
+
+    fn solve_line(name: &str, seed: u64, deadline_ms: u64, trace: bool) -> String {
+        encode_request(&SolveRequest {
+            id: None,
+            instance: InstanceSpec::Named(name.into()),
+            objective: Objective::Makespan,
+            seed,
+            deadline_ms,
+            trace,
+        })
+    }
+
+    #[test]
+    fn name_memo_never_outgrows_the_cache_capacity() {
+        let service = Service::bind(ServeConfig {
+            cache_capacity: 3,
+            ..tiny_config()
+        })
+        .unwrap();
+        let addr = service.local_addr();
+        for s in 1..=10 {
+            let answer = send_lines(
+                addr,
+                &[solve_line(&format!("gen-job-3x2-s{s}"), 1, 2_000, false)],
+            );
+            assert!(answer[0].contains(r#""status":"ok""#), "{}", answer[0]);
+            assert!(service.shared.names.len() <= 3);
+        }
+        assert_eq!(service.shared.names.len(), 3);
+        service.shutdown();
+    }
+
+    #[test]
+    fn unknown_names_are_never_memoised_and_always_error() {
+        let service = Service::bind(tiny_config()).unwrap();
+        let addr = service.local_addr();
+        let bad = ["nope", "gen-job-0x5-s1"];
+        let lines: Vec<String> = bad
+            .iter()
+            .chain(&bad)
+            .map(|n| solve_line(n, 1, 500, false))
+            .collect();
+        let answers = send_lines(addr, &lines);
+        for answer in &answers {
+            assert!(answer.contains(r#""status":"error""#), "{answer}");
+        }
+        assert_eq!(answers[0], answers[2], "same error every time");
+        assert_eq!(answers[1], answers[3], "same error every time");
+        assert_ne!(
+            answers[0], answers[1],
+            "a gen-* name gets the generator's error"
+        );
+        assert_eq!(service.shared.names.len(), 0);
+        assert_eq!(service.stats().errors, 4);
+        service.shutdown();
+    }
+
+    #[test]
+    fn memoised_hit_replays_the_cold_answer() {
+        let service = Service::bind(tiny_config()).unwrap();
+        let addr = service.local_addr();
+        let line = solve_line("gen-job-6x4-s1", 3, 2_000, false);
+        let answers = send_lines(addr, &[line.clone(), line]);
+        assert_eq!(service.shared.names.len(), 1, "the name was memoised");
+        let cold = crate::json::parse(&answers[0]).unwrap();
+        let hit = crate::json::parse(&answers[1]).unwrap();
+        assert_eq!(cold.get("cached").unwrap().as_bool(), Some(false));
+        assert_eq!(hit.get("cached").unwrap().as_bool(), Some(true));
+        for field in ["value", "makespan", "schedule"] {
+            assert_eq!(cold.get(field), hit.get(field), "{field}");
+        }
+        let stats = service.stats();
+        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
+        service.shutdown();
+    }
+
+    #[test]
+    fn memoised_name_still_reraces_an_outgrown_deadline_bound_entry() {
+        // As in longer_deadline_outgrows_a_deadline_bound_cache_entry:
+        // every ft10 race is cut by its deadline. The second and third
+        // requests find the name in the memo, so the re-race loads the
+        // instance from it.
+        let service = Service::bind(ServeConfig {
+            workers: 1,
+            gen_cap: u64::MAX,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let addr = service.local_addr();
+        let first = send_lines(addr, &[solve_line("ft10", 8, 60, false)]);
+        assert_eq!(service.shared.names.len(), 1);
+        let rest = send_lines(
+            addr,
+            &[
+                solve_line("ft10", 8, 400, false),
+                solve_line("ft10", 8, 300, false),
+            ],
+        );
+        let v: Vec<Json> = first
+            .iter()
+            .chain(&rest)
+            .map(|r| crate::json::parse(r).unwrap())
+            .collect();
+        let cached: Vec<bool> = v
+            .iter()
+            .map(|a| a.get("cached").unwrap().as_bool().unwrap())
+            .collect();
+        assert_eq!(cached, [false, false, true]);
+        let value = |i: usize| v[i].get("value").unwrap().as_f64().unwrap();
+        assert!(value(1) <= value(0));
+        assert_eq!(value(2), value(1));
+        assert_eq!(service.stats().solved, 2);
+        service.shutdown();
+    }
+
+    #[test]
+    fn traced_memoised_hit_records_parse_and_cache_lookup() {
+        let service = Service::bind(tiny_config()).unwrap();
+        let addr = service.local_addr();
+        let answers = send_lines(
+            addr,
+            &[
+                solve_line("gen-flow-5x3-s2", 4, 2_000, false),
+                solve_line("gen-flow-5x3-s2", 4, 2_000, true),
+            ],
+        );
+        let hit = crate::json::parse(&answers[1]).unwrap();
+        assert_eq!(hit.get("cached").unwrap().as_bool(), Some(true));
+        let names: Vec<&str> = hit
+            .get("trace")
+            .and_then(|t| t.get("spans"))
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter_map(|s| s.get("name").and_then(Json::as_str))
+            .collect();
+        assert_eq!(names, ["parse", "cache_lookup"]);
         service.shutdown();
     }
 }

@@ -4,7 +4,8 @@
 //! [`crate::wal`].
 
 use super::{
-    attach_trace, load_or_error, solve_core, solve_reply, start_trace, Received, Shared, SolveJob,
+    attach_trace, load_or_error, solve_core, solve_reply, start_trace, Received, Shared,
+    SolveInstance, SolveJob,
 };
 use crate::json::{obj, Json};
 use crate::obs::phase::PhaseAcc;
@@ -159,7 +160,7 @@ pub(super) fn handle_session_open(
     let config = &shared.config;
     let (budget_ms, deadline) = config.deadline(rx.at, req.deadline_ms, config.default_deadline_ms);
     let solve = SolveJob {
-        inst: &inst,
+        inst: &SolveInstance::loaded(Arc::clone(&inst)),
         objective: req.objective,
         seed: req.seed,
         deadline,
