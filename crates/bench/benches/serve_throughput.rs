@@ -319,7 +319,14 @@ fn bench_serve(c: &mut Criterion) {
         ("cached_requests_per_sec", cached_rps.into()),
         ("cold_requests_per_sec", cold_rps.into()),
         ("speedup_cached_over_cold", (cached_rps / cold_rps).into()),
-        ("racer_pool", (service.racer_pool_size() as u64).into()),
+        (
+            "racer_pool",
+            service
+                .registry()
+                .value("serve_racer_pool")
+                .unwrap_or(0)
+                .into(),
+        ),
         ("max_queue_depth", (max_queue_depth as u64).into()),
         ("concurrent_cold_sweep", serve::Json::Arr(sweep)),
     ]);

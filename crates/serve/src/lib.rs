@@ -87,7 +87,7 @@ pub use protocol::{
     SolveRequest, WatchTarget, MAX_BATCH_ITEMS,
 };
 pub use scheduler::{CancelToken, RacerPool};
-pub use server::{ServeConfig, Service, StatsSnapshot};
+pub use server::{ServeConfig, Service};
 pub use session::{
     EventOutcome, JournalEntry, ResolveSkip, SessionConfig, SessionGauges, SessionRegistry,
     SessionState,

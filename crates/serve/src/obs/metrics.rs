@@ -217,8 +217,8 @@ impl Registry {
         })
     }
 
-    /// Current value of a counter or gauge by full name (tests and the
-    /// snapshot-equivalence check).
+    /// Current value of a counter or gauge by full name: the service's
+    /// `stats` view and programmatic reads go through here.
     pub fn value(&self, name: &str) -> Option<u64> {
         let entries = self.entries.lock().expect("registry poisoned");
         entries

@@ -86,13 +86,23 @@ pub enum ModelKind {
 }
 
 impl ModelKind {
+    /// Stable wire/telemetry labels of the three kinds, indexed by
+    /// [`ModelKind::index`].
+    pub const NAMES: [&'static str; 3] = ["master_slave", "island", "cellular"];
+
+    /// Position of the kind in [`ModelKind::NAMES`]: per-kind tables
+    /// index by it.
+    pub fn index(&self) -> usize {
+        match self {
+            ModelKind::MasterSlave { .. } => 0,
+            ModelKind::Island { .. } => 1,
+            ModelKind::Cellular { .. } => 2,
+        }
+    }
+
     /// Stable wire/telemetry label of the model.
     pub fn name(&self) -> &'static str {
-        match self {
-            ModelKind::MasterSlave { .. } => "master_slave",
-            ModelKind::Island { .. } => "island",
-            ModelKind::Cellular { .. } => "cellular",
-        }
+        Self::NAMES[self.index()]
     }
 }
 
@@ -122,6 +132,19 @@ impl BestSoFar {
     }
 }
 
+/// Calibrated cost of one individual's whole walk through the GA loop
+/// for a `family` instance, in seconds per operation (see
+/// [`hpc::calibrate`]). Lineup pricing and the service's cost-model
+/// drift gauge both read it.
+pub fn decode_op_s(family: Family) -> f64 {
+    match family {
+        Family::Flow => hpc::calibrate::DECODE_OP_S_FLOW,
+        Family::Job => hpc::calibrate::DECODE_OP_S_JOB,
+        Family::Open => hpc::calibrate::DECODE_OP_S_OPEN,
+        Family::Flexible => hpc::calibrate::DECODE_OP_S_FLEXIBLE,
+    }
+}
+
 /// Prices candidate configurations of all three models for a `family`
 /// instance with `total_ops` operations on a multicore platform of
 /// `threads` width, returning them ranked cheapest-first as
@@ -138,16 +161,10 @@ pub fn price_lineup(family: Family, total_ops: usize, threads: usize) -> Vec<(f6
     let threads = threads.clamp(1, 3);
     // Population scales with instance size, bounded for latency.
     let pop = (2 * total_ops).clamp(32, 128);
-    let decode_op_s = match family {
-        Family::Flow => hpc::calibrate::DECODE_OP_S_FLOW,
-        Family::Job => hpc::calibrate::DECODE_OP_S_JOB,
-        Family::Open => hpc::calibrate::DECODE_OP_S_OPEN,
-        Family::Flexible => hpc::calibrate::DECODE_OP_S_FLEXIBLE,
-    };
     let shape = RunShape {
         generations: 100,
         evals_per_gen: pop as u64,
-        eval_s: decode_op_s * total_ops as f64,
+        eval_s: decode_op_s(family) * total_ops as f64,
         serial_gen_s: 150e-9 * pop as f64,
         genome_bytes: 8.0 * total_ops as f64,
     };
@@ -207,12 +224,12 @@ pub fn plan_lineup(family: Family, total_ops: usize, threads: usize) -> Vec<Mode
 pub struct RaceResult<G> {
     /// Best individual found by any member that completed.
     pub best: Individual<G>,
-    /// Name of the member that held the returned solution.
+    /// The member that held the returned solution.
     /// Informational only: whenever the race exits early on a certified
     /// target, rival cut-off points are timing-dependent, so this label
     /// is not part of the deterministic contract (only cap-bound races
     /// pin it).
-    pub winner: String,
+    pub winner: ModelKind,
     /// Structural counters per *completed* member, in lineup order.
     /// Members cancelled before getting a pool slot are absent.
     pub models: Vec<(String, RunTelemetry)>,
@@ -712,7 +729,7 @@ pub(crate) fn race_core_hooked<G: Send + 'static>(
     let deadline_bound = (any_timed_out || missing > 0) && best.cost > target;
     RaceResult {
         best,
-        winner: lineup[idx].name().to_string(),
+        winner: lineup[idx],
         models,
         deadline_bound,
         pool_wait: Duration::from_micros(state.pool_wait_us.load(Ordering::Relaxed)),
@@ -1057,7 +1074,7 @@ mod tests {
         );
         for r in [&a, &b] {
             assert!(
-                lineup.iter().any(|m| m.name() == r.winner),
+                lineup.contains(&r.winner),
                 "winner {:?} must be a lineup member",
                 r.winner
             );
@@ -1138,7 +1155,7 @@ mod tests {
         // it (generously bounded for slow CI) and still return a best.
         assert!(started.elapsed() < Duration::from_secs(10));
         assert!(r.best.cost >= 1.0);
-        assert_eq!(r.winner, "master_slave");
+        assert_eq!(r.winner.name(), "master_slave");
         assert!(
             r.deadline_bound,
             "clock-cut race must report deadline_bound"

@@ -32,16 +32,17 @@ use crate::json::{obj, Json};
 use crate::obs::metrics::{Counter, Gauge, Histogram, Registry};
 use crate::obs::phase::{PhaseAcc, PHASE_NAMES};
 use crate::obs::trace::{Trace, TraceRing};
-use crate::portfolio::WatchSink;
+use crate::portfolio::{decode_op_s, ModelKind, WatchSink};
 use crate::protocol::{
     busy_json, encode_error, error_json, parse_request, solution_json, BatchItem, BatchRequest,
-    BatchSource, Envelope, GenerateRequest, InstanceSpec, Objective, Request, Solution,
-    SolveRequest, WatchTarget,
+    BatchSource, Envelope, GenerateRequest, InstanceSpec, Objective, ProtocolError, Request,
+    Solution, SolveRequest, WatchTarget,
 };
 use crate::scheduler::RacerPool;
-use crate::session::{SessionConfig, SessionGauges, SessionRegistry};
+use crate::session::{SessionConfig, SessionRegistry};
 use crate::solver::{load_instance, solve_hooked, LoadError, LoadedInstance, SolveHooks};
 use pga::telemetry::RequestTelemetry;
+use shop::gen::Family;
 use shop::schedule::Schedule;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
@@ -199,185 +200,8 @@ impl ServeConfig {
     }
 }
 
-/// Monotonic service counters (lock-free; read with
-/// [`Service::stats`]). Since the observability layer landed these are
-/// *views over the metrics registry*: each field is the
-/// `serve_<field>_total` counter registered at construction, so
-/// `stats`, `metrics` and the periodic stderr summary all read the
-/// same cells and can never disagree.
-///
-/// `cache_hits` counts responses answered from the memoised solution
-/// (including the rare validation-failure fallback); `cache_misses`
-/// counts lookups that could not be replayed directly. A fallback
-/// request increments both, so `cache_hits + cache_misses` can exceed
-/// the number of solve requests by the (error-counted) fallbacks —
-/// hit-rate consumers should divide by `requests` instead.
-#[derive(Debug)]
-pub struct ServiceStats {
-    /// Request lines received (any kind, including malformed).
-    pub requests: Arc<Counter>,
-    /// Portfolio races run to completion (batch items included;
-    /// cache replays excluded).
-    pub solved: Arc<Counter>,
-    /// Responses answered from the memoised solution.
-    pub cache_hits: Arc<Counter>,
-    /// Cache lookups that could not be replayed directly.
-    pub cache_misses: Arc<Counter>,
-    /// Protocol, load and internal-validation failures.
-    pub errors: Arc<Counter>,
-    /// Cold solves refused with the `busy` backpressure error because
-    /// the racer-pool queue was past the admission limit. Not counted
-    /// under `errors`: shedding load is the service working as
-    /// configured, not failing.
-    pub busy_rejections: Arc<Counter>,
-    /// Summed connection queue wait, in microseconds.
-    pub queue_wait_us: Arc<Counter>,
-    /// Summed racer-pool queue wait over solved requests, in
-    /// microseconds (each request contributes its longest member
-    /// wait).
-    pub pool_wait_us: Arc<Counter>,
-    /// Session disruption events applied (errors excluded).
-    pub session_events: Arc<Counter>,
-    /// Events where right-shift repair held the answer (the GA
-    /// re-solve lost the tie, was skipped, or was shed as busy).
-    pub session_repair_wins: Arc<Counter>,
-    /// Events where the warm-started re-solve strictly beat repair.
-    pub session_resolve_wins: Arc<Counter>,
-    /// Events whose re-solve was shed by admission control (answered
-    /// with repair alone). Like `busy_rejections`, not an error: the
-    /// repair answer is feasible and within the deadline.
-    pub session_resolve_busy: Arc<Counter>,
-    /// Write-ahead-log records durably appended (session opens, event
-    /// records and compaction snapshots; zero when no `wal_dir` is
-    /// configured).
-    pub wal_appends: Arc<Counter>,
-    /// Write-ahead-log records replayed into sessions (restart
-    /// recovery plus lazy recovery on first touch).
-    pub wal_replays: Arc<Counter>,
-}
-
-/// Point-in-time copy of the counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Request lines received (any kind, including malformed).
-    pub requests: u64,
-    /// Portfolio races run to completion.
-    pub solved: u64,
-    /// Responses answered from the memoised solution.
-    pub cache_hits: u64,
-    /// Cache lookups that could not be replayed directly.
-    pub cache_misses: u64,
-    /// Protocol, load and internal-validation failures.
-    pub errors: u64,
-    /// Cold solves refused with the `busy` backpressure error.
-    pub busy_rejections: u64,
-    /// Summed connection queue wait, in microseconds.
-    pub queue_wait_us: u64,
-    /// Summed racer-pool queue wait over solved requests, in
-    /// microseconds.
-    pub pool_wait_us: u64,
-    /// Session disruption events applied.
-    pub session_events: u64,
-    /// Events answered by right-shift repair.
-    pub session_repair_wins: u64,
-    /// Events answered by the warm-started re-solve.
-    pub session_resolve_wins: u64,
-    /// Events whose re-solve was shed by admission control.
-    pub session_resolve_busy: u64,
-    /// Write-ahead-log records durably appended.
-    pub wal_appends: u64,
-    /// Write-ahead-log records replayed into sessions.
-    pub wal_replays: u64,
-}
-
-impl ServiceStats {
-    /// Registers every legacy stats counter in `registry` (names below)
-    /// and returns the view. The mapping is 1:1 — the
-    /// snapshot-equivalence test in this module walks it field by
-    /// field.
-    fn new(registry: &Registry) -> ServiceStats {
-        ServiceStats {
-            requests: registry.counter(
-                "serve_requests_total",
-                "request lines received (any kind, including malformed)",
-            ),
-            solved: registry.counter(
-                "serve_solved_total",
-                "portfolio races run to completion (cache replays excluded)",
-            ),
-            cache_hits: registry.counter(
-                "serve_cache_hits_total",
-                "responses answered from the memoised solution",
-            ),
-            cache_misses: registry.counter(
-                "serve_cache_misses_total",
-                "cache lookups that could not be replayed directly",
-            ),
-            errors: registry.counter(
-                "serve_errors_total",
-                "protocol, load and internal-validation failures",
-            ),
-            busy_rejections: registry.counter(
-                "serve_busy_rejections_total",
-                "cold solves refused by admission control",
-            ),
-            queue_wait_us: registry.counter(
-                "serve_queue_wait_us_total",
-                "summed connection queue wait in microseconds",
-            ),
-            pool_wait_us: registry.counter(
-                "serve_pool_wait_us_total",
-                "summed racer-pool queue wait over solved requests in microseconds",
-            ),
-            session_events: registry.counter(
-                "serve_session_events_total",
-                "session disruption events applied",
-            ),
-            session_repair_wins: registry.counter(
-                "serve_session_repair_wins_total",
-                "events answered by right-shift repair",
-            ),
-            session_resolve_wins: registry.counter(
-                "serve_session_resolve_wins_total",
-                "events answered by the warm-started re-solve",
-            ),
-            session_resolve_busy: registry.counter(
-                "serve_session_resolve_busy_total",
-                "events whose re-solve was shed by admission control",
-            ),
-            wal_appends: registry.counter(
-                "serve_wal_appends_total",
-                "write-ahead-log records durably appended",
-            ),
-            wal_replays: registry.counter(
-                "serve_wal_replays_total",
-                "write-ahead-log records replayed into sessions",
-            ),
-        }
-    }
-
-    fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            requests: self.requests.get(),
-            solved: self.solved.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            errors: self.errors.get(),
-            busy_rejections: self.busy_rejections.get(),
-            queue_wait_us: self.queue_wait_us.get(),
-            pool_wait_us: self.pool_wait_us.get(),
-            session_events: self.session_events.get(),
-            session_repair_wins: self.session_repair_wins.get(),
-            session_resolve_wins: self.session_resolve_wins.get(),
-            session_resolve_busy: self.session_resolve_busy.get(),
-            wal_appends: self.wal_appends.get(),
-            wal_replays: self.wal_replays.get(),
-        }
-    }
-}
-
-/// Wire request type labels of the `serve_requests_by_type_total`
-/// series; `invalid` covers lines that failed to parse.
+/// The `serve_requests_by_type_total` labels, indexed by
+/// [`request_type`]; `invalid` covers lines that failed to parse.
 const REQUEST_TYPES: [&str; 14] = [
     "solve",
     "generate",
@@ -395,46 +219,84 @@ const REQUEST_TYPES: [&str; 14] = [
     "invalid",
 ];
 
-/// Instance families of `serve_solved_by_family_total` (must match
-/// [`shop::gen::Family::name`]).
-const FAMILIES: [&str; 4] = ["flow", "job", "open", "flexible"];
+/// The keys of the `stats` answer, in wire order. Key `k` reads the
+/// series `serve_k_total`, or `serve_k` when no such counter exists;
+/// the answer ends with `cost_model_drift_milli` and `version`.
+const STATS_KEYS: [&str; 28] = [
+    "requests",
+    "solved",
+    "cache_hits",
+    "cache_misses",
+    "errors",
+    "busy_rejections",
+    "queue_wait_us",
+    "pool_wait_us",
+    "cache_len",
+    "workers",
+    "racer_pool",
+    "queue_depth",
+    "max_queue_depth",
+    "sessions_open",
+    "sessions_opened",
+    "sessions_closed",
+    "sessions_expired",
+    "sessions_evicted",
+    "session_events",
+    "session_repair_wins",
+    "session_resolve_wins",
+    "session_resolve_busy",
+    "sessions_recovered",
+    "wal_appends",
+    "wal_replays",
+    "max_sessions",
+    "uptime_ms",
+    "worker_panics",
+];
 
-/// Race member kinds of `serve_race_wins_total` (must match
-/// `portfolio::ModelKind` names).
-const MEMBERS: [&str; 3] = ["master_slave", "island", "cellular"];
-
-/// Registry handles beyond the legacy [`ServiceStats`] counters:
-/// latency histograms, labeled counters (static label sets registered
-/// once at bind), and the gauges the exposition path refreshes at
-/// scrape time.
+/// The service's handles into its metrics registry, the only store of
+/// its numbers: `stats`, `metrics` and the stderr summary all read the
+/// registry. Counters and histograms are bumped on the request path
+/// through these fields; labeled series are arrays indexed by
+/// [`request_type`], `Family as usize` or [`ModelKind::index`] (label
+/// sets are fixed at bind); gauges mirror state that lives elsewhere
+/// and are set by [`Shared::refresh_gauges`] at read time. Series are
+/// registered, and so exposed, in field order.
+///
+/// `cache_hits` counts answers replayed from the memoised solution
+/// (including the rare validation-failure fallback); `cache_misses`
+/// counts lookups that could not be replayed directly. A fallback
+/// counts under both, so hit rates should divide by `requests`.
+/// `busy_rejections` and `session_resolve_busy` are not `errors`:
+/// shedding load is the service working as configured.
 struct ServeMetrics {
-    /// End-to-end per-request latency (any request kind), µs.
+    requests: Arc<Counter>,
+    solved: Arc<Counter>,
+    cache_hits: Arc<Counter>,
+    cache_misses: Arc<Counter>,
+    errors: Arc<Counter>,
+    busy_rejections: Arc<Counter>,
+    queue_wait_us: Arc<Counter>,
+    pool_wait_us: Arc<Counter>,
+    session_events: Arc<Counter>,
+    session_repair_wins: Arc<Counter>,
+    session_resolve_wins: Arc<Counter>,
+    session_resolve_busy: Arc<Counter>,
+    wal_appends: Arc<Counter>,
+    wal_replays: Arc<Counter>,
     request_us: Arc<Histogram>,
-    /// Per-`session_event` latency (repair + optional re-solve), µs.
     session_event_us: Arc<Histogram>,
-    /// Per-record WAL append latency (frame + write + fsync, and the
-    /// periodic snapshot rewrite when one triggers), µs.
     wal_append_us: Arc<Histogram>,
-    /// `serve_requests_by_type_total{type=...}` — one pre-registered
-    /// counter per [`REQUEST_TYPES`] label.
-    by_type: Vec<(&'static str, Arc<Counter>)>,
-    /// `serve_solved_by_family_total{family=...}` per [`FAMILIES`].
-    by_family: Vec<(&'static str, Arc<Counter>)>,
-    /// `serve_race_wins_total{member=...}` per [`MEMBERS`].
-    race_wins: Vec<(&'static str, Arc<Counter>)>,
-    /// `serve_phase_us{family=...,phase=...}` — per-race search-phase
-    /// time histograms, one per ([`FAMILIES`] × [`PHASE_NAMES`]) pair.
-    phase_us: Vec<((&'static str, &'static str), Arc<Histogram>)>,
-    /// `serve_cost_model_drift_milli{family=...}` — cumulative observed
-    /// decode ns/op over the calibrated `hpc::calibrate` constant, in
-    /// thousandths (1000 = exactly calibrated; 2000 = 2× slower).
-    drift_milli: Vec<(&'static str, Arc<Gauge>)>,
-    /// Drift accumulators per family: summed observed decode
-    /// nanoseconds and summed decoded operations (`decode calls ×
-    /// instance total_ops`) across every profiled race.
-    drift_acc: Vec<(&'static str, AtomicU64, AtomicU64)>,
-    /// `serve_watch_frames_dropped_total` — frames dropped instead of
-    /// blocking a race on a watch subscriber that stopped reading.
+    by_type: [Arc<Counter>; REQUEST_TYPES.len()],
+    by_family: [Arc<Counter>; Family::ALL.len()],
+    race_wins: [Arc<Counter>; ModelKind::NAMES.len()],
+    /// `[family][phase]`, phases in [`PHASE_NAMES`] order.
+    phase_us: [[Arc<Histogram>; PHASE_NAMES.len()]; Family::ALL.len()],
+    /// Per family: cumulative observed decode ns/op over the calibrated
+    /// constant, in thousandths (1000 = exactly calibrated).
+    drift_milli: [Arc<Gauge>; Family::ALL.len()],
+    /// Per family: summed member run nanoseconds and summed evaluated
+    /// operations (`evaluations × total_ops`) over profiled races.
+    drift_acc: [(AtomicU64, AtomicU64); Family::ALL.len()],
     watch_drops: Arc<Counter>,
     uptime_ms: Arc<Gauge>,
     cache_len: Arc<Gauge>,
@@ -452,20 +314,78 @@ struct ServeMetrics {
     max_sessions: Arc<Gauge>,
 }
 
+/// Registers one counter per static label value of a series.
+fn labeled<const N: usize>(
+    registry: &Registry,
+    base: &str,
+    label: &str,
+    values: [&str; N],
+    help: &'static str,
+) -> [Arc<Counter>; N] {
+    values.map(|v| registry.counter(&format!("{base}{{{label}=\"{v}\"}}"), help))
+}
+
 impl ServeMetrics {
     fn new(registry: &Registry) -> ServeMetrics {
-        let labeled = |base: &str, label: &str, values: &[&'static str], help: &'static str| {
-            values
-                .iter()
-                .map(|&v| {
-                    (
-                        v,
-                        registry.counter(&format!("{base}{{{label}=\"{v}\"}}"), help),
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
+        let counter = |name, help| registry.counter(name, help);
+        let gauge = |name, help| registry.gauge(name, help);
         ServeMetrics {
+            requests: counter(
+                "serve_requests_total",
+                "request lines received (any kind, including malformed)",
+            ),
+            solved: counter(
+                "serve_solved_total",
+                "portfolio races run to completion (cache replays excluded)",
+            ),
+            cache_hits: counter(
+                "serve_cache_hits_total",
+                "responses answered from the memoised solution",
+            ),
+            cache_misses: counter(
+                "serve_cache_misses_total",
+                "cache lookups that could not be replayed directly",
+            ),
+            errors: counter(
+                "serve_errors_total",
+                "protocol, load and internal-validation failures",
+            ),
+            busy_rejections: counter(
+                "serve_busy_rejections_total",
+                "cold solves refused by admission control",
+            ),
+            queue_wait_us: counter(
+                "serve_queue_wait_us_total",
+                "summed connection queue wait in microseconds",
+            ),
+            pool_wait_us: counter(
+                "serve_pool_wait_us_total",
+                "summed racer-pool queue wait over solved requests in microseconds",
+            ),
+            session_events: counter(
+                "serve_session_events_total",
+                "session disruption events applied",
+            ),
+            session_repair_wins: counter(
+                "serve_session_repair_wins_total",
+                "events answered by right-shift repair",
+            ),
+            session_resolve_wins: counter(
+                "serve_session_resolve_wins_total",
+                "events answered by the warm-started re-solve",
+            ),
+            session_resolve_busy: counter(
+                "serve_session_resolve_busy_total",
+                "events whose re-solve was shed by admission control",
+            ),
+            wal_appends: counter(
+                "serve_wal_appends_total",
+                "write-ahead-log records durably appended",
+            ),
+            wal_replays: counter(
+                "serve_wal_replays_total",
+                "write-ahead-log records replayed into sessions",
+            ),
             request_us: registry.histogram(
                 "serve_request_us",
                 "end-to-end request latency in microseconds",
@@ -479,89 +399,69 @@ impl ServeMetrics {
                 "write-ahead-log append latency (write + fsync) in microseconds",
             ),
             by_type: labeled(
+                registry,
                 "serve_requests_by_type_total",
                 "type",
-                &REQUEST_TYPES,
+                REQUEST_TYPES,
                 "requests by wire request type",
             ),
             by_family: labeled(
+                registry,
                 "serve_solved_by_family_total",
                 "family",
-                &FAMILIES,
+                Family::ALL.map(|f| f.name()),
                 "completed races by instance family",
             ),
             race_wins: labeled(
+                registry,
                 "serve_race_wins_total",
                 "member",
-                &MEMBERS,
+                ModelKind::NAMES,
                 "race wins by portfolio member kind",
             ),
-            phase_us: FAMILIES
-                .iter()
-                .flat_map(|&f| PHASE_NAMES.iter().map(move |&p| (f, p)))
-                .map(|(f, p)| {
-                    (
-                        (f, p),
-                        registry.histogram(
-                            &format!("serve_phase_us{{family=\"{f}\",phase=\"{p}\"}}"),
-                            "per-race search-phase time in microseconds",
-                        ),
+            phase_us: Family::ALL.map(|f| {
+                PHASE_NAMES.map(|p| {
+                    registry.histogram(
+                        &format!("serve_phase_us{{family=\"{}\",phase=\"{p}\"}}", f.name()),
+                        "per-race search-phase time in microseconds",
                     )
                 })
-                .collect(),
-            drift_milli: FAMILIES
-                .iter()
-                .map(|&f| {
-                    (
-                        f,
-                        registry.gauge(
-                            &format!("serve_cost_model_drift_milli{{family=\"{f}\"}}"),
-                            "observed per-op evaluation cost over the calibrated \
-                             cost model, in thousandths",
-                        ),
-                    )
-                })
-                .collect(),
-            drift_acc: FAMILIES
-                .iter()
-                .map(|&f| (f, AtomicU64::new(0), AtomicU64::new(0)))
-                .collect(),
-            watch_drops: registry.counter(
+            }),
+            drift_milli: Family::ALL.map(|f| {
+                registry.gauge(
+                    &format!("serve_cost_model_drift_milli{{family=\"{}\"}}", f.name()),
+                    "observed per-op evaluation cost over the calibrated \
+                     cost model, in thousandths",
+                )
+            }),
+            drift_acc: Default::default(),
+            watch_drops: counter(
                 "serve_watch_frames_dropped_total",
                 "watch frames dropped to a slow subscriber instead of blocking the race",
             ),
-            uptime_ms: registry.gauge("serve_uptime_ms", "milliseconds since bind"),
-            cache_len: registry.gauge("serve_cache_len", "memoised solutions currently held"),
-            queue_depth: registry.gauge(
+            uptime_ms: gauge("serve_uptime_ms", "milliseconds since bind"),
+            cache_len: gauge("serve_cache_len", "memoised solutions currently held"),
+            queue_depth: gauge(
                 "serve_queue_depth",
                 "race tasks currently queued on the racer pool",
             ),
-            worker_panics: registry.gauge(
+            worker_panics: gauge(
                 "serve_worker_panics_total",
                 "racer-pool tasks recovered from a panic",
             ),
-            sessions_open: registry.gauge("serve_sessions_open", "sessions currently open"),
-            sessions_opened: registry.gauge("serve_sessions_opened", "sessions ever opened"),
-            sessions_closed: registry.gauge("serve_sessions_closed", "sessions explicitly closed"),
-            sessions_expired: registry.gauge("serve_sessions_expired", "sessions expired by TTL"),
-            sessions_evicted: registry
-                .gauge("serve_sessions_evicted", "sessions evicted by the LRU cap"),
-            sessions_recovered: registry.gauge(
+            sessions_open: gauge("serve_sessions_open", "sessions currently open"),
+            sessions_opened: gauge("serve_sessions_opened", "sessions ever opened"),
+            sessions_closed: gauge("serve_sessions_closed", "sessions explicitly closed"),
+            sessions_expired: gauge("serve_sessions_expired", "sessions expired by TTL"),
+            sessions_evicted: gauge("serve_sessions_evicted", "sessions evicted by the LRU cap"),
+            sessions_recovered: gauge(
                 "serve_sessions_recovered",
                 "sessions rebuilt from the write-ahead log",
             ),
-            workers: registry.gauge("serve_workers", "worker threads serving connections"),
-            racer_pool: registry.gauge("serve_racer_pool", "persistent racer threads"),
-            max_queue_depth: registry.gauge("serve_max_queue_depth", "admission limit"),
-            max_sessions: registry.gauge("serve_max_sessions", "open-session cap"),
-        }
-    }
-
-    /// Counts one event under a static label value; a value outside the
-    /// set fixed at bind counts nowhere.
-    fn count(set: &[(&'static str, Arc<Counter>)], value: &str) {
-        if let Some((_, c)) = set.iter().find(|(label, _)| *label == value) {
-            c.inc();
+            workers: gauge("serve_workers", "worker threads serving connections"),
+            racer_pool: gauge("serve_racer_pool", "persistent racer threads"),
+            max_queue_depth: gauge("serve_max_queue_depth", "admission limit"),
+            max_sessions: gauge("serve_max_sessions", "open-session cap"),
         }
     }
 
@@ -575,60 +475,36 @@ impl ServeMetrics {
     /// its share of operator work, cloning and bookkeeping, see
     /// `hpc::calibrate`), so the observed numerator is total member
     /// time, not any scoped phase slice.
-    fn observe_race_profile(&self, family: &str, phases: &PhaseAcc, run_ns: u64, eval_ops: u64) {
-        let snapshot = phases.snapshot_ns();
-        for (i, &p) in PHASE_NAMES.iter().enumerate() {
-            // panic-safe: i < PHASE_NAMES.len() == snapshot_ns() length (5).
-            if snapshot[i] == 0 {
-                continue;
-            }
-            if let Some((_, h)) = self
-                .phase_us
-                .iter()
-                .find(|((f, ph), _)| *f == family && *ph == p)
-            {
-                // panic-safe: as above — i indexes the fixed 5-phase array.
-                h.observe(snapshot[i] / 1_000);
+    fn observe_race_profile(&self, family: Family, phases: &PhaseAcc, run_ns: u64, eval_ops: u64) {
+        let f = family as usize;
+        // panic-safe: f is a Family discriminant, < Family::ALL.len(), the length of every per-family table.
+        for (h, ns) in self.phase_us[f].iter().zip(phases.snapshot_ns()) {
+            if ns > 0 {
+                h.observe(ns / 1_000);
             }
         }
         if run_ns == 0 || eval_ops == 0 {
             return;
         }
-        let Some((_, ns_acc, ops_acc)) = self.drift_acc.iter().find(|(f, _, _)| *f == family)
-        else {
-            return;
-        };
         // Cumulative ratio: one slow outlier race cannot whipsaw the
         // gauge the way a per-race ratio would.
+        // panic-safe: as above.
+        let (ns_acc, ops_acc) = &self.drift_acc[f];
         let ns = ns_acc.fetch_add(run_ns, Ordering::Relaxed) + run_ns;
         let ops = ops_acc.fetch_add(eval_ops, Ordering::Relaxed) + eval_ops;
         let observed_ns_per_op = ns as f64 / ops as f64;
-        let calibrated_ns_per_op = calibrated_op_s(family) * 1e9;
+        let calibrated_ns_per_op = decode_op_s(family) * 1e9;
         let milli = (observed_ns_per_op / calibrated_ns_per_op * 1000.0).round();
-        if let Some((_, g)) = self.drift_milli.iter().find(|(f, _)| *f == family) {
-            g.set(milli.max(0.0) as u64);
-        }
+        // panic-safe: as above.
+        self.drift_milli[f].set(milli.max(0.0) as u64);
     }
 
-    /// Current drift gauge for a family, in thousandths of the
-    /// calibrated cost (0 = no profiled decode yet).
-    fn drift_reading(&self, family: &str) -> u64 {
-        self.drift_milli
+    /// `(family, drift gauge)` pairs in [`Family::ALL`] order.
+    fn drift(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        Family::ALL
             .iter()
-            .find(|(f, _)| *f == family)
-            .map(|(_, g)| g.get())
-            .unwrap_or(0)
-    }
-}
-
-/// Calibrated whole-walk decode cost for a family, seconds per
-/// operation (see `hpc::calibrate`).
-fn calibrated_op_s(family: &str) -> f64 {
-    match family {
-        "flow" => hpc::calibrate::DECODE_OP_S_FLOW,
-        "job" => hpc::calibrate::DECODE_OP_S_JOB,
-        "open" => hpc::calibrate::DECODE_OP_S_OPEN,
-        _ => hpc::calibrate::DECODE_OP_S_FLEXIBLE,
+            .zip(&self.drift_milli)
+            .map(|(f, g)| (f.name(), g.get()))
     }
 }
 
@@ -651,9 +527,8 @@ struct Shared {
     /// Per-session write-ahead log (`None` without `wal_dir`); see
     /// [`crate::wal`].
     wal: Option<crate::wal::Wal>,
-    stats: ServiceStats,
     /// The metrics registry behind `stats`, `metrics` and the periodic
-    /// stderr summary.
+    /// stderr summary, and the service's handles into it.
     registry: Registry,
     metrics: ServeMetrics,
     /// Recently finished request traces, served by `trace_dump`.
@@ -669,8 +544,9 @@ struct Shared {
 
 impl Shared {
     /// Refreshes the point-in-time gauges from their sources (cache,
-    /// pool, session registry, clock). Called at exposition and by the
-    /// periodic summary — gauges mirror live state, they are not
+    /// pool, session registry, clock). Called before every read of the
+    /// registry (`stats`, `metrics`, the periodic summary and
+    /// [`Service::registry`]): gauges mirror live state, they are not
     /// updated on the hot path.
     fn refresh_gauges(&self) {
         let m = &self.metrics;
@@ -719,9 +595,10 @@ impl Service {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let registry = Registry::new();
-        let stats = ServiceStats::new(&registry);
         let metrics = ServeMetrics::new(&registry);
+        let pool = RacerPool::new(config.racer_pool);
         metrics.workers.set(config.workers as u64);
+        metrics.racer_pool.set(pool.size() as u64);
         metrics.max_queue_depth.set(config.max_queue_depth as u64);
         metrics.max_sessions.set(config.max_sessions as u64);
         let wal = match &config.wal_dir {
@@ -735,7 +612,7 @@ impl Service {
         let shared = Arc::new(Shared {
             cache: ShardedCache::new(config.cache_capacity, config.cache_shards),
             names: NameMemo::new(config.cache_capacity),
-            pool: RacerPool::new(config.racer_pool),
+            pool,
             sessions: SessionRegistry::new(SessionConfig {
                 default_ttl: Duration::from_millis(config.session_ttl_ms.max(1)),
                 max_ttl: Duration::from_millis(config.session_ttl_ms.max(1).saturating_mul(10)),
@@ -748,12 +625,10 @@ impl Service {
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            stats,
             registry,
             metrics,
             started: Instant::now(),
         });
-        shared.metrics.racer_pool.set(shared.pool.size() as u64);
         // Restart recovery: rebuild the registry from every log on
         // disk before accepting a single connection, so a client that
         // reconnects immediately after a crash sees its session (a
@@ -789,38 +664,15 @@ impl Service {
         self.addr
     }
 
-    /// Counter snapshot.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats.snapshot()
-    }
-
-    /// The service's metrics registry — every counter, gauge and
-    /// histogram behind the `metrics` wire command, for embedders that
-    /// want programmatic access instead of a scrape.
+    /// The service's metrics registry, its gauges refreshed first:
+    /// every counter, gauge and histogram behind `stats` and
+    /// `metrics`, for embedders and tests that want programmatic
+    /// access instead of a scrape (read one series with
+    /// [`Registry::value`], e.g. `serve_cache_hits_total`). The series
+    /// are catalogued in docs/OBSERVABILITY.md §2.
     pub fn registry(&self) -> &Registry {
+        self.shared.refresh_gauges();
         &self.shared.registry
-    }
-
-    /// Entries currently memoised (summed over cache shards).
-    pub fn cache_len(&self) -> usize {
-        self.shared.cache.len()
-    }
-
-    /// Race tasks currently queued on the racer pool (the admission
-    /// gauge behind `busy` rejections).
-    pub fn queue_depth(&self) -> usize {
-        self.shared.pool.queue_depth()
-    }
-
-    /// Racer-pool thread count after auto-sizing.
-    pub fn racer_pool_size(&self) -> usize {
-        self.shared.pool.size()
-    }
-
-    /// Session registry gauges (open / opened / closed / expired /
-    /// evicted).
-    pub fn session_gauges(&self) -> SessionGauges {
-        self.shared.sessions.gauges()
     }
 
     /// Requests shutdown and joins every thread (graceful: in-flight
@@ -883,27 +735,26 @@ fn metrics_summary_loop(shared: &Shared) {
         }
         last = Instant::now();
         shared.refresh_gauges();
-        let s = shared.stats.snapshot();
+        let m = &shared.metrics;
         eprintln!(
             "[serve] up {}s: {} requests ({} solved, {} cache hits, {} errors, {} busy), \
              queue depth {}, {} sessions open, {} session events, {} worker panics",
-            shared.started.elapsed().as_secs(),
-            s.requests,
-            s.solved,
-            s.cache_hits,
-            s.errors,
-            s.busy_rejections,
-            shared.pool.queue_depth(),
-            shared.sessions.gauges().open,
-            s.session_events,
-            shared.pool.panics(),
+            m.uptime_ms.get() / 1_000,
+            m.requests.get(),
+            m.solved.get(),
+            m.cache_hits.get(),
+            m.errors.get(),
+            m.busy_rejections.get(),
+            m.queue_depth.get(),
+            m.sessions_open.get(),
+            m.session_events.get(),
+            m.worker_panics.get(),
         );
         // Cost-model drift check: observed per-op evaluation cost vs
         // the calibrated `hpc::calibrate::DECODE_OP_S_*` constant.
         // Beyond 2x either way the calibration no longer describes
         // this host.
-        for &family in &FAMILIES {
-            let milli = shared.metrics.drift_reading(family);
+        for (family, milli) in m.drift() {
             if milli > 0 && !(500..=2000).contains(&milli) {
                 eprintln!(
                     "[serve] cost-model drift: family {family} evaluates at {:.2}x \
@@ -962,7 +813,7 @@ fn worker_loop(shared: &Shared) {
         };
         let queue_wait = enqueued_at.elapsed();
         shared
-            .stats
+            .metrics
             .queue_wait_us
             .add(queue_wait.as_micros() as u64);
         handle_connection(stream, queue_wait, shared);
@@ -1144,24 +995,33 @@ struct Received {
     queue_wait: Duration,
 }
 
-/// The `serve_requests_by_type_total` label of a parse outcome.
-fn request_type_label(parsed: &Result<Request, crate::protocol::ProtocolError>) -> &'static str {
+/// The [`REQUEST_TYPES`] index of a parse outcome.
+fn request_type(parsed: &Result<Request, ProtocolError>) -> usize {
     match parsed {
-        Err(_) => "invalid",
-        Ok(Request::Solve(_)) => "solve",
-        Ok(Request::Generate(_)) => "generate",
-        Ok(Request::Batch(_)) => "batch",
-        Ok(Request::SessionOpen(_)) => "session_open",
-        Ok(Request::SessionEvent(_)) => "session_event",
-        Ok(Request::SessionGet(_)) => "session_get",
-        Ok(Request::SessionEvents(_)) => "session_events",
-        Ok(Request::SessionClose(_)) => "session_close",
-        Ok(Request::Stats) => "stats",
-        Ok(Request::Metrics) => "metrics",
-        Ok(Request::TraceDump { .. }) => "trace_dump",
-        Ok(Request::Watch(_)) => "watch",
-        Ok(Request::Shutdown) => "shutdown",
+        Ok(Request::Solve(_)) => 0,
+        Ok(Request::Generate(_)) => 1,
+        Ok(Request::Batch(_)) => 2,
+        Ok(Request::Watch(_)) => 3,
+        Ok(Request::SessionOpen(_)) => 4,
+        Ok(Request::SessionEvent(_)) => 5,
+        Ok(Request::SessionGet(_)) => 6,
+        Ok(Request::SessionEvents(_)) => 7,
+        Ok(Request::SessionClose(_)) => 8,
+        Ok(Request::Stats) => 9,
+        Ok(Request::Metrics) => 10,
+        Ok(Request::TraceDump { .. }) => 11,
+        Ok(Request::Shutdown) => 12,
+        Err(_) => 13,
     }
+}
+
+/// A `stats` key's value: the series `serve_<key>_total`, else
+/// `serve_<key>` (see [`STATS_KEYS`]).
+fn stat(registry: &Registry, key: &str) -> u64 {
+    registry
+        .value(&format!("serve_{key}_total"))
+        .or_else(|| registry.value(&format!("serve_{key}")))
+        .unwrap_or(0)
 }
 
 /// The request dispatcher: handles one request line and observes its
@@ -1176,66 +1036,32 @@ fn handle_line(
     shared: &Shared,
 ) -> std::io::Result<LineOutcome> {
     let at = Instant::now();
-    shared.stats.requests.inc();
+    shared.metrics.requests.inc();
     let parsed = parse_request(text);
     let rx = Received {
         at,
         parse_us: at.elapsed().as_micros() as u64,
         queue_wait,
     };
-    ServeMetrics::count(&shared.metrics.by_type, request_type_label(&parsed));
+    // panic-safe: request_type returns an index < REQUEST_TYPES.len() == by_type.len().
+    shared.metrics.by_type[request_type(&parsed)].inc();
     let outcome = match parsed {
         Err(e) => {
-            shared.stats.errors.inc();
+            shared.metrics.errors.inc();
             reply(encode_error(None, &e.to_string()))
         }
         Ok(Request::Stats) => {
-            let s = shared.stats.snapshot();
-            let sg = shared.sessions.gauges();
-            let config = &shared.config;
-            let body = Envelope(None, "ok").with([
-                ("requests", s.requests.into()),
-                ("solved", s.solved.into()),
-                ("cache_hits", s.cache_hits.into()),
-                ("cache_misses", s.cache_misses.into()),
-                ("errors", s.errors.into()),
-                ("busy_rejections", s.busy_rejections.into()),
-                ("queue_wait_us", s.queue_wait_us.into()),
-                ("pool_wait_us", s.pool_wait_us.into()),
-                ("cache_len", (shared.cache.len() as u64).into()),
-                ("workers", (config.workers as u64).into()),
-                ("racer_pool", (shared.pool.size() as u64).into()),
-                ("queue_depth", (shared.pool.queue_depth() as u64).into()),
-                ("max_queue_depth", (config.max_queue_depth as u64).into()),
-                ("sessions_open", sg.open.into()),
-                ("sessions_opened", sg.opened.into()),
-                ("sessions_closed", sg.closed.into()),
-                ("sessions_expired", sg.expired.into()),
-                ("sessions_evicted", sg.evicted.into()),
-                ("session_events", s.session_events.into()),
-                ("session_repair_wins", s.session_repair_wins.into()),
-                ("session_resolve_wins", s.session_resolve_wins.into()),
-                ("session_resolve_busy", s.session_resolve_busy.into()),
-                ("sessions_recovered", sg.recovered.into()),
-                ("wal_appends", s.wal_appends.into()),
-                ("wal_replays", s.wal_replays.into()),
-                ("max_sessions", (config.max_sessions as u64).into()),
-                (
-                    "uptime_ms",
-                    (shared.started.elapsed().as_millis() as u64).into(),
-                ),
-                ("worker_panics", shared.pool.panics().into()),
-                (
-                    "cost_model_drift_milli",
-                    Json::Obj(
-                        FAMILIES
-                            .iter()
-                            .map(|&f| (f.to_string(), shared.metrics.drift_reading(f).into()))
-                            .collect(),
-                    ),
-                ),
-                ("version", env!("CARGO_PKG_VERSION").into()),
-            ]);
+            shared.refresh_gauges();
+            let drift = shared
+                .metrics
+                .drift()
+                .map(|(f, milli)| (f.to_string(), milli.into()));
+            let body = Envelope(None, "ok")
+                .with([
+                    ("cost_model_drift_milli", Json::Obj(drift.collect())),
+                    ("version", env!("CARGO_PKG_VERSION").into()),
+                ])
+                .with_fields(1, STATS_KEYS.map(|k| (k, stat(&shared.registry, k).into())));
             reply(body.encode())
         }
         Ok(Request::Metrics) => {
@@ -1340,7 +1166,7 @@ fn load_or_error(
     shared: &Shared,
 ) -> Result<Arc<LoadedInstance>, Json> {
     load_instance(spec).map(Arc::new).map_err(|e| {
-        shared.stats.errors.inc();
+        shared.metrics.errors.inc();
         error_json(id, &e.to_string())
     })
 }
@@ -1411,7 +1237,7 @@ fn resolve_or_error<'a>(
     shared: &Shared,
 ) -> Result<SolveInstance<'a>, Json> {
     resolve_instance(spec, shared).map_err(|e| {
-        shared.stats.errors.inc();
+        shared.metrics.errors.inc();
         error_json(id, &e.to_string())
     })
 }
@@ -1490,7 +1316,7 @@ fn solve_core(
         tr.span("cache_lookup", start, hit);
     }
     let replay = |solution, solve_time| {
-        shared.stats.cache_hits.inc();
+        shared.metrics.cache_hits.inc();
         let telemetry = RequestTelemetry {
             queue_wait,
             solve_time,
@@ -1526,14 +1352,14 @@ fn solve_core(
         );
     }
     if !admitted {
-        shared.stats.busy_rejections.inc();
+        shared.metrics.busy_rejections.inc();
         return Err(CoreFail::Busy { depth });
     }
-    shared.stats.cache_misses.inc();
+    shared.metrics.cache_misses.inc();
     // A memoised name cannot fail to load again (generation is
     // deterministic); were it to, the request gets the loader's error.
     let inst = &inst.materialise().map_err(|e| {
-        shared.stats.errors.inc();
+        shared.metrics.errors.inc();
         CoreFail::Internal(e.to_string())
     })?;
 
@@ -1571,7 +1397,7 @@ fn solve_core(
         .saturating_mul(inst.total_ops() as u64);
     shared
         .metrics
-        .observe_race_profile(inst.family().name(), &phases, outcome.run_ns, eval_ops);
+        .observe_race_profile(inst.family(), &phases, outcome.run_ns, eval_ops);
     if let (Some(tr), Some(start)) = (trace, race_start) {
         tr.member_spans(start, &outcome.timelines);
         let decodes: u64 = outcome.models.iter().map(|(_, t)| t.decode_calls).sum();
@@ -1595,7 +1421,8 @@ fn solve_core(
             ],
         );
     }
-    ServeMetrics::count(&shared.metrics.race_wins, &outcome.solution.model);
+    // panic-safe: ModelKind::index is < ModelKind::NAMES.len() == race_wins.len().
+    shared.metrics.race_wins[outcome.winner.index()].inc();
 
     // Never hand out an infeasible schedule: validate before replying
     // (and before caching). If the fresh race misbehaves while a valid
@@ -1603,7 +1430,7 @@ fn solve_core(
     // rather than failing a request the cache can still answer.
     let schedule = Schedule::new(outcome.solution.schedule.clone());
     if let Err(e) = inst.validate(&schedule) {
-        shared.stats.errors.inc();
+        shared.metrics.errors.inc();
         if let Some(prev) = prev {
             // Served from the cache after all: `replay` counts the hit
             // so the counter stays consistent with the response's
@@ -1636,7 +1463,7 @@ fn solve_core(
     );
 
     shared
-        .stats
+        .metrics
         .pool_wait_us
         .add(outcome.pool_wait.as_micros() as u64);
     let telemetry = RequestTelemetry {
@@ -1650,8 +1477,9 @@ fn solve_core(
     }
     .with_decodes_from_models();
 
-    shared.stats.solved.inc();
-    ServeMetrics::count(&shared.metrics.by_family, inst.family().name());
+    shared.metrics.solved.inc();
+    // panic-safe: a Family discriminant is < Family::ALL.len() == by_family.len().
+    shared.metrics.by_family[inst.family() as usize].inc();
     Ok(CoreOutcome {
         solution: merged.solution,
         telemetry,
@@ -1728,7 +1556,7 @@ fn handle_generate(req: &GenerateRequest, rx: &Received, shared: &Shared) -> Str
     let generated = match req.spec.build() {
         Ok(g) => g,
         Err(e) => {
-            shared.stats.errors.inc();
+            shared.metrics.errors.inc();
             return encode_error(id, &e.to_string());
         }
     };
@@ -1865,7 +1693,7 @@ fn handle_batch(req: &BatchRequest, rx: &Received, shared: &Shared) -> String {
                     let body = match &inst {
                         Ok(inst) => solve_batch_item(item, req, inst, deadline, shared),
                         Err(e) => {
-                            shared.stats.errors.inc();
+                            shared.metrics.errors.inc();
                             error_json(item.id.as_deref(), e)
                         }
                     };
@@ -1938,6 +1766,14 @@ mod tests {
         out
     }
 
+    /// Current value of a counter or gauge series of the service.
+    fn series(service: &Service, name: &str) -> u64 {
+        service
+            .registry()
+            .value(name)
+            .unwrap_or_else(|| panic!("no series {name}"))
+    }
+
     fn tiny_config() -> ServeConfig {
         ServeConfig {
             workers: 2,
@@ -1982,8 +1818,8 @@ mod tests {
         assert_eq!(stats.get("cache_hits").unwrap().as_u64(), Some(1));
         assert_eq!(stats.get("cache_misses").unwrap().as_u64(), Some(1));
         assert_eq!(stats.get("errors").unwrap().as_u64(), Some(1));
-        assert_eq!(service.stats().cache_hits, 1);
-        assert_eq!(service.cache_len(), 1);
+        assert_eq!(series(&service, "serve_cache_hits_total"), 1);
+        assert_eq!(series(&service, "serve_cache_len"), 1);
         service.shutdown();
     }
 
@@ -2075,11 +1911,14 @@ mod tests {
         // A follow-up within the enlarged budget replays the entry.
         assert!(cached(2));
         assert_eq!(value(2), value(1));
-        let stats = service.stats();
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.cache_misses, 2);
-        assert_eq!(stats.solved, 2);
-        assert_eq!(service.cache_len(), 1, "upgrade replaces, never duplicates");
+        assert_eq!(series(&service, "serve_cache_hits_total"), 1);
+        assert_eq!(series(&service, "serve_cache_misses_total"), 2);
+        assert_eq!(series(&service, "serve_solved_total"), 2);
+        assert_eq!(
+            series(&service, "serve_cache_len"),
+            1,
+            "upgrade replaces, never duplicates"
+        );
         service.shutdown();
     }
 
@@ -2173,9 +2012,12 @@ mod tests {
         let t = v.get("telemetry").unwrap();
         assert_eq!(t.get("cache_hits").unwrap().as_u64(), Some(8));
         assert_eq!(t.get("errors").unwrap().as_u64(), Some(0));
-        let stats = service.stats();
-        assert_eq!(stats.solved, 1, "cache hits must not race the portfolio");
-        assert_eq!(stats.cache_hits, 8);
+        assert_eq!(
+            series(&service, "serve_solved_total"),
+            1,
+            "cache hits must not race the portfolio"
+        );
+        assert_eq!(series(&service, "serve_cache_hits_total"), 8);
         service.shutdown();
     }
 
@@ -2208,8 +2050,12 @@ mod tests {
         let responses = send_lines(addr, &[batch]);
         let v = crate::json::parse(&responses[0]).unwrap();
         assert_eq!(v.get("ok").unwrap().as_u64(), Some(5));
-        assert_eq!(service.cache_len(), 3, "cache must stay at capacity");
-        assert_eq!(service.stats().solved, 5);
+        assert_eq!(
+            series(&service, "serve_cache_len"),
+            3,
+            "cache must stay at capacity"
+        );
+        assert_eq!(series(&service, "serve_solved_total"), 5);
 
         // LRU order preserved under batch load: the last three inserts
         // survive (replay), the first two were evicted (re-solve).
@@ -2227,7 +2073,7 @@ mod tests {
         assert!(cached(1), "seed 3 must have survived the batch");
         assert!(cached(2), "seed 4 must have survived the batch");
         assert!(!cached(3), "seed 0 must have been evicted as LRU");
-        assert_eq!(service.cache_len(), 3);
+        assert_eq!(series(&service, "serve_cache_len"), 3);
         service.shutdown();
     }
 
@@ -2262,13 +2108,12 @@ mod tests {
             entries[1].get("makespan").unwrap().as_u64(),
             entries[0].get("makespan").unwrap().as_u64()
         );
-        let stats = service.stats();
         assert!(
-            stats.solved <= 3,
+            series(&service, "serve_solved_total") <= 3,
             "4 items, 2 unique specs of one key + 1 distinct: at most 3 races, got {}",
-            stats.solved
+            series(&service, "serve_solved_total")
         );
-        assert!(stats.cache_hits >= 1);
+        assert!(series(&service, "serve_cache_hits_total") >= 1);
         service.shutdown();
     }
 
@@ -2299,7 +2144,7 @@ mod tests {
         assert!(err(0).contains("capped"), "{}", err(0));
         assert!(err(1).contains("min_time"), "{}", err(1));
         assert!(err(2).contains("unknown named instance"), "{}", err(2));
-        assert_eq!(service.stats().errors, 3);
+        assert_eq!(series(&service, "serve_errors_total"), 3);
         service.shutdown();
     }
 
@@ -2327,7 +2172,7 @@ mod tests {
             v.get("telemetry").unwrap().get("errors").unwrap().as_u64(),
             Some(2)
         );
-        assert_eq!(service.stats().errors, 2);
+        assert_eq!(series(&service, "serve_errors_total"), 2);
         service.shutdown();
     }
 
@@ -2377,7 +2222,10 @@ mod tests {
             // Give the long race time to be admitted and queue its
             // members.
             std::thread::sleep(Duration::from_millis(400));
-            assert!(service.queue_depth() >= 1, "pool must be saturated");
+            assert!(
+                series(&service, "serve_queue_depth") >= 1,
+                "pool must be saturated"
+            );
 
             // A cold solve must now be refused fast with code busy.
             let cold = encode_request(&SolveRequest {
@@ -2420,16 +2268,21 @@ mod tests {
             assert_eq!(v.get("status").unwrap().as_str(), Some("ok"));
         });
 
-        let stats = service.stats();
-        assert_eq!(stats.busy_rejections, 1);
-        assert!(stats.cache_hits >= 1);
+        assert_eq!(series(&service, "serve_busy_rejections_total"), 1);
+        assert!(series(&service, "serve_cache_hits_total") >= 1);
         // Deadline cancellation freed the queued members: once the
         // long race's deadline passed, its stranded tasks drain.
         let waited = Instant::now();
-        while service.queue_depth() > 0 && waited.elapsed() < Duration::from_secs(10) {
+        while series(&service, "serve_queue_depth") > 0
+            && waited.elapsed() < Duration::from_secs(10)
+        {
             std::thread::sleep(Duration::from_millis(20));
         }
-        assert_eq!(service.queue_depth(), 0, "cancellation frees pool slots");
+        assert_eq!(
+            series(&service, "serve_queue_depth"),
+            0,
+            "cancellation frees pool slots"
+        );
         // And the recovered pool admits cold solves again.
         let retry = encode_request(&SolveRequest {
             id: None,
@@ -2454,7 +2307,7 @@ mod tests {
             ..ServeConfig::default()
         })
         .unwrap();
-        assert_eq!(service.racer_pool_size(), 2);
+        assert_eq!(series(&service, "serve_racer_pool"), 2);
         let addr = service.local_addr();
         let responses = send_lines(addr, &[r#"{"cmd":"stats"}"#.to_string()]);
         let v = crate::json::parse(&responses[0]).unwrap();
@@ -2553,7 +2406,11 @@ mod tests {
         assert_eq!(closed.get("events").unwrap().as_u64(), Some(1));
         let gone = crate::json::parse(&responses[4]).unwrap();
         assert_eq!(gone.get("code").unwrap().as_str(), Some("unknown_session"));
-        assert_eq!(service.session_gauges().open, 0, "registry drains on close");
+        assert_eq!(
+            series(&service, "serve_sessions_open"),
+            0,
+            "registry drains on close"
+        );
         service.shutdown();
     }
 
@@ -2654,7 +2511,7 @@ mod tests {
         let gate = Arc::new((Mutex::new(false), std::sync::Condvar::new()));
         let cancel = Arc::new(crate::scheduler::CancelToken::default());
         let job_deadline = Instant::now() + Duration::from_secs(30);
-        for _ in 0..service.racer_pool_size() + 2 {
+        for _ in 0..series(&service, "serve_racer_pool") + 2 {
             let gate = Arc::clone(&gate);
             service.shared.pool.submit(
                 job_deadline,
@@ -2669,12 +2526,15 @@ mod tests {
             );
         }
         for _ in 0..400 {
-            if service.queue_depth() >= 1 {
+            if series(&service, "serve_queue_depth") >= 1 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert!(service.queue_depth() >= 1, "pool saturation did not take");
+        assert!(
+            series(&service, "serve_queue_depth") >= 1,
+            "pool saturation did not take"
+        );
 
         let responses = send_lines(
             addr,
@@ -2728,7 +2588,7 @@ mod tests {
         }
         cancel.cancel();
         for _ in 0..400 {
-            if service.queue_depth() == 0 {
+            if series(&service, "serve_queue_depth") == 0 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(5));
@@ -2782,7 +2642,7 @@ mod tests {
             .as_str()
             .unwrap()
             .to_string();
-        assert_eq!(service.session_gauges().open, 1);
+        assert_eq!(series(&service, "serve_sessions_open"), 1);
         std::thread::sleep(Duration::from_millis(200));
         let responses = send_lines(
             addr,
@@ -2853,7 +2713,11 @@ mod tests {
         let event = crate::json::parse(&responses[0]).unwrap();
         assert_eq!(event.get("status").unwrap().as_str(), Some("ok"));
         std::thread::sleep(Duration::from_millis(200));
-        assert_eq!(service.session_gauges().open, 0, "session must expire");
+        assert_eq!(
+            series(&service, "serve_sessions_open"),
+            0,
+            "session must expire"
+        );
         let responses = send_lines(
             addr,
             &[
@@ -2879,6 +2743,47 @@ mod tests {
         assert_eq!(stats.get("sessions_recovered").unwrap().as_u64(), Some(1));
         assert_eq!(stats.get("wal_replays").unwrap().as_u64(), Some(2));
         assert!(stats.get("wal_appends").unwrap().as_u64().unwrap() >= 2);
+        service.shutdown();
+    }
+
+    /// A session evicted by the LRU cap right after it opened is still
+    /// answered from its log: the open record is written through the
+    /// entry `open` inserted, never through a second lookup.
+    #[test]
+    fn lru_evicted_session_with_wal_recovers_from_its_open_record() {
+        let tmp = TmpWalDir::new("lru");
+        let service = Service::bind(ServeConfig {
+            workers: 1,
+            gen_cap: 30,
+            max_sessions: 1,
+            wal_dir: Some(tmp.path()),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let open = |seed: u64| {
+            format!(
+                r#"{{"cmd":"session_open","instance":{{"name":"ft06"}},"seed":{seed},"deadline_ms":1000}}"#
+            )
+        };
+        let responses = send_lines(service.local_addr(), &[open(2), open(3)]);
+        let a = crate::json::parse(&responses[0]).unwrap();
+        let b = crate::json::parse(&responses[1]).unwrap();
+        let sid = a.get("session").unwrap().as_str().unwrap().to_string();
+        assert_ne!(b.get("session"), a.get("session"));
+        assert_eq!(series(&service, "serve_sessions_evicted"), 1);
+        let responses = send_lines(
+            service.local_addr(),
+            &[format!(r#"{{"cmd":"session_get","session":"{sid}"}}"#)],
+        );
+        let got = crate::json::parse(&responses[0]).unwrap();
+        assert_eq!(got.get("status").unwrap().as_str(), Some("ok"), "{got:?}");
+        assert_eq!(got.get("events").unwrap().as_u64(), Some(0));
+        assert_eq!(
+            got.get("schedule").unwrap().encode(),
+            a.get("schedule").unwrap().encode(),
+            "the open incumbent is recovered bit-identically"
+        );
+        assert_eq!(series(&service, "serve_sessions_recovered"), 1);
         service.shutdown();
     }
 
@@ -2980,13 +2885,12 @@ mod tests {
                 });
             }
         });
-        assert_eq!(service.stats().solved, 4);
+        assert_eq!(series(&service, "serve_solved_total"), 4);
         service.shutdown();
     }
 
-    /// Every legacy `ServiceStats` field must read back identically
-    /// through the metrics registry — the snapshot is a *view*, not a
-    /// second set of counters that could drift.
+    /// The `stats` answer is a view of the metrics registry: every key
+    /// reads back identically through [`Service::registry`].
     #[test]
     fn stats_snapshot_matches_metrics_registry() {
         let service = Service::bind(tiny_config()).unwrap();
@@ -3000,36 +2904,61 @@ mod tests {
             trace: false,
         });
         send_lines(addr, &[req.clone(), req, "nonsense".to_string()]);
-        let snap = service.stats();
-        let reg = service.registry();
-        for (name, value) in [
-            ("serve_requests_total", snap.requests),
-            ("serve_solved_total", snap.solved),
-            ("serve_cache_hits_total", snap.cache_hits),
-            ("serve_cache_misses_total", snap.cache_misses),
-            ("serve_errors_total", snap.errors),
-            ("serve_busy_rejections_total", snap.busy_rejections),
-            ("serve_queue_wait_us_total", snap.queue_wait_us),
-            ("serve_pool_wait_us_total", snap.pool_wait_us),
-            ("serve_session_events_total", snap.session_events),
-            ("serve_session_repair_wins_total", snap.session_repair_wins),
-            (
-                "serve_session_resolve_wins_total",
-                snap.session_resolve_wins,
-            ),
-            (
-                "serve_session_resolve_busy_total",
-                snap.session_resolve_busy,
-            ),
-            ("serve_wal_appends_total", snap.wal_appends),
-            ("serve_wal_replays_total", snap.wal_replays),
-        ] {
-            assert_eq!(reg.value(name), Some(value), "{name} drifted");
+        assert_eq!(series(&service, "serve_requests_total"), 3);
+        assert_eq!(series(&service, "serve_cache_hits_total"), 1);
+        assert_eq!(series(&service, "serve_errors_total"), 1);
+        let stats = send_lines(addr, &[r#"{"cmd":"stats"}"#.to_string()]);
+        let stats = crate::json::parse(&stats[0]).unwrap();
+        let registry = service.registry();
+        for key in STATS_KEYS {
+            let shown = stats.get(key).and_then(Json::as_u64).unwrap();
+            match key {
+                "uptime_ms" => assert!(stat(registry, key) >= shown),
+                _ => assert_eq!(stat(registry, key), shown, "{key} drifted"),
+            }
         }
-        assert_eq!(snap.requests, 3);
-        assert_eq!(snap.cache_hits, 1);
-        assert_eq!(snap.errors, 1);
         service.shutdown();
+    }
+
+    #[test]
+    fn request_types_index_their_wire_labels() {
+        for (line, label) in [
+            (r#"{"instance":{"name":"ft06"}}"#, "solve"),
+            (
+                r#"{"cmd":"generate","spec":{"family":"job","jobs":3,"machines":3,"seed":1}}"#,
+                "generate",
+            ),
+            (
+                r#"{"cmd":"batch","items":[{"instance":{"name":"ft06"}}]}"#,
+                "batch",
+            ),
+            (r#"{"cmd":"watch","request":"w1"}"#, "watch"),
+            (
+                r#"{"cmd":"session_open","instance":{"name":"ft06"}}"#,
+                "session_open",
+            ),
+            (
+                r#"{"cmd":"session_event","session":"s","event":{"type":"breakdown","machine":2,"from":4,"duration":5}}"#,
+                "session_event",
+            ),
+            (r#"{"cmd":"session_get","session":"s"}"#, "session_get"),
+            (
+                r#"{"cmd":"session_events","session":"s"}"#,
+                "session_events",
+            ),
+            (r#"{"cmd":"session_close","session":"s"}"#, "session_close"),
+            (r#"{"cmd":"stats"}"#, "stats"),
+            (r#"{"cmd":"metrics"}"#, "metrics"),
+            (r#"{"cmd":"trace_dump"}"#, "trace_dump"),
+            (r#"{"cmd":"shutdown"}"#, "shutdown"),
+            ("garbage", "invalid"),
+        ] {
+            assert_eq!(
+                REQUEST_TYPES[request_type(&parse_request(line))],
+                label,
+                "{line}"
+            );
+        }
     }
 
     #[test]
@@ -3725,7 +3654,7 @@ mod tests {
             "a gen-* name gets the generator's error"
         );
         assert_eq!(service.shared.names.len(), 0);
-        assert_eq!(service.stats().errors, 4);
+        assert_eq!(series(&service, "serve_errors_total"), 4);
         service.shutdown();
     }
 
@@ -3743,8 +3672,13 @@ mod tests {
         for field in ["value", "makespan", "schedule"] {
             assert_eq!(cold.get(field), hit.get(field), "{field}");
         }
-        let stats = service.stats();
-        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
+        assert_eq!(
+            (
+                series(&service, "serve_cache_hits_total"),
+                series(&service, "serve_cache_misses_total")
+            ),
+            (1, 1)
+        );
         service.shutdown();
     }
 
@@ -3783,7 +3717,7 @@ mod tests {
         let value = |i: usize| v[i].get("value").unwrap().as_f64().unwrap();
         assert!(value(1) <= value(0));
         assert_eq!(value(2), value(1));
-        assert_eq!(service.stats().solved, 2);
+        assert_eq!(series(&service, "serve_solved_total"), 2);
         service.shutdown();
     }
 

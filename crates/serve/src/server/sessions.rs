@@ -16,6 +16,7 @@ use crate::protocol::{
 use crate::session::SessionState;
 use crate::solver::{LoadedInstance, SolveHooks};
 use crate::wal::{RecoverOutcome, RecoveredSession, Wal};
+use shop::gen::Family;
 use shop::Problem;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -30,23 +31,6 @@ fn unknown_session_json(id: Option<&str>, session: &str) -> Json {
         ("code", "unknown_session".into()),
         ("error", message.into()),
     ])
-}
-
-/// Session down-windows on the wire: `[machine, from, until]` rows in
-/// machine order.
-fn windows_json(windows: &[shop::dynamic::DownWindow]) -> Json {
-    Json::Arr(
-        windows
-            .iter()
-            .map(|w| {
-                Json::Arr(vec![
-                    (w.machine as u64).into(),
-                    w.from.into(),
-                    w.until.into(),
-                ])
-            })
-            .collect(),
-    )
 }
 
 /// Looks up a session, falling back to write-ahead-log replay when the
@@ -67,7 +51,7 @@ fn session_entry(session: &str, shared: &Shared) -> Option<Arc<Mutex<SessionStat
         Err(e) => format!("recovery failed: {e}"),
     };
     eprintln!("[serve::wal] {session}: {failure}");
-    shared.stats.errors.inc();
+    shared.metrics.errors.inc();
     None
 }
 
@@ -77,7 +61,7 @@ pub(super) fn restore(rec: RecoveredSession, shared: &Shared) -> Arc<Mutex<Sessi
     if let Some(salvaged) = &rec.salvaged {
         eprintln!("[serve::wal] {}: {salvaged}", rec.session);
     }
-    shared.stats.wal_replays.add(rec.records);
+    shared.metrics.wal_replays.add(rec.records);
     let (entry, _) = shared.sessions.restore(&rec.session, rec.state, rec.ttl_ms);
     entry
 }
@@ -103,7 +87,7 @@ fn with_session(
         session_entry(session, shared)
     };
     let Some(entry) = entry else {
-        shared.stats.errors.inc();
+        shared.metrics.errors.inc();
         return unknown_session_json(id, session);
     };
     let mut state = entry.lock().expect("session poisoned"); // panic-safe: poisoned = a handler already panicked; never serve corrupt state
@@ -126,10 +110,10 @@ fn wal_write(session: &str, shared: &Shared, write: impl FnOnce(&Wal) -> std::io
         .wal_append_us
         .observe(started.elapsed().as_micros() as u64);
     match result {
-        Ok(()) => shared.stats.wal_appends.inc(),
+        Ok(()) => shared.metrics.wal_appends.inc(),
         Err(e) => {
             eprintln!("[serve::wal] {session}: append failed: {e} (continuing without durability)");
-            shared.stats.errors.inc();
+            shared.metrics.errors.inc();
         }
     }
 }
@@ -150,7 +134,7 @@ pub(super) fn handle_session_open(
         Err(body) => return body.encode(),
     };
     let LoadedInstance::Job(job) = &*inst else {
-        shared.stats.errors.inc();
+        shared.metrics.errors.inc();
         let family = inst.family().name();
         return encode_error(
             id,
@@ -185,18 +169,18 @@ pub(super) fn handle_session_open(
         ttl_ms: req.ttl_ms,
         journal: Vec::new(),
     };
-    let session = shared.sessions.open(state, req.ttl_ms);
+    let (session, entry) = shared.sessions.open(state, req.ttl_ms);
     if let Some(tr) = trace.as_mut() {
         tr.session = Some(session.clone());
     }
     // Durability: the open record is on disk (and fsync'd) before the
-    // client hears the session id.
-    if let Some(entry) = shared.sessions.get(&session) {
+    // client hears the session id, written through the entry `open`
+    // inserted, so a session evicted or expired in the meantime is
+    // still recoverable from its log.
+    wal_write(&session, shared, |wal| {
         let state = entry.lock().expect("session poisoned"); // panic-safe: poisoned = a handler already panicked; never serve corrupt state
-        wal_write(&session, shared, |wal| {
-            wal.begin(&session, &crate::wal::open_record(&session, &state))
-        });
-    }
+        wal.begin(&session, &crate::wal::open_record(&session, &state))
+    });
     let body = solve_reply(id, Ok(out), shared).with_fields(
         usize::MAX,
         [
@@ -262,23 +246,25 @@ pub(super) fn session_event_body(
         // Sessions are job-shop only; their re-solves feed the engine
         // and decode phases through the shared codec race, and run_ns =
         // eval_ops = 0 keeps the cost-model drift gauge solve-only.
-        shared.metrics.observe_race_profile("job", &phases, 0, 0);
+        shared
+            .metrics
+            .observe_race_profile(Family::Job, &phases, 0, 0);
         let out = match outcome {
             Ok(out) => out,
             Err(msg) => {
-                shared.stats.errors.inc();
+                shared.metrics.errors.inc();
                 return error_json(id, &msg);
             }
         };
-        shared.stats.session_events.inc();
+        shared.metrics.session_events.inc();
         let winners = match out.winner {
-            "resolve" => &shared.stats.session_resolve_wins,
-            _ => &shared.stats.session_repair_wins,
+            "resolve" => &shared.metrics.session_resolve_wins,
+            _ => &shared.metrics.session_repair_wins,
         };
         winners.inc();
         match out.resolve_skipped {
-            Some(crate::session::ResolveSkip::Busy) => shared.stats.session_resolve_busy.inc(),
-            Some(crate::session::ResolveSkip::Infeasible) => shared.stats.errors.inc(),
+            Some(crate::session::ResolveSkip::Busy) => shared.metrics.session_resolve_busy.inc(),
+            Some(crate::session::ResolveSkip::Infeasible) => shared.metrics.errors.inc(),
             _ => {}
         }
         // Still under the session lock: the record hits disk (and
@@ -347,7 +333,7 @@ pub(super) fn handle_session_get(r: &SessionRef, shared: &Shared) -> String {
             ("value", state.incumbent.value.into()),
             ("makespan", state.incumbent.makespan.into()),
             ("deadline_bound", state.deadline_bound.into()),
-            ("windows", windows_json(&state.windows)),
+            ("windows", crate::wal::windows_to_json(&state.windows)),
             (
                 "schedule",
                 crate::protocol::schedule_to_json(&state.incumbent.schedule),
@@ -364,19 +350,10 @@ pub(super) fn handle_session_get(r: &SessionRef, shared: &Shared) -> String {
 pub(super) fn handle_session_events(r: &SessionRef, shared: &Shared) -> String {
     let id = r.id.as_deref();
     with_session(id, &r.session, false, shared, |state| {
-        let log: Vec<Json> = state
+        let log = state
             .journal
             .iter()
-            .map(|e| {
-                obj([
-                    ("seq", e.seq.into()),
-                    ("event", crate::protocol::event_to_json(&e.event)),
-                    ("winner", e.winner.as_str().into()),
-                    ("value", e.value.into()),
-                    ("makespan", e.makespan.into()),
-                    ("deadline_bound", e.deadline_bound.into()),
-                ])
-            })
+            .map(crate::wal::journal_entry_to_json)
             .collect();
         Envelope(id, "ok").with([
             ("session", r.session.as_str().into()),
@@ -397,7 +374,7 @@ pub(super) fn handle_session_close(r: &SessionRef, shared: &Shared) -> String {
         if let Some(wal) = shared.wal.as_ref() {
             if let Err(e) = wal.remove(&r.session) {
                 eprintln!("[serve::wal] {}: remove failed: {e}", r.session);
-                shared.stats.errors.inc();
+                shared.metrics.errors.inc();
             }
         }
         Envelope(id, "ok").with([

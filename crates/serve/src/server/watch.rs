@@ -273,7 +273,7 @@ fn register_watch(
             drop(hub);
             // The writer thread drains the empty sealed queue and exits.
             sink.seal(None);
-            shared.stats.errors.inc();
+            shared.metrics.errors.inc();
             let message = format!(
                 "a watched race with request id {rid:?} is already in flight; \
                  attach to it or pick a fresh id"
@@ -371,7 +371,7 @@ pub(super) fn attach_watch(
         .get(request)
         .cloned();
     let Some(channel) = channel else {
-        shared.stats.errors.inc();
+        shared.metrics.errors.inc();
         let message = format!("no in-flight watched race with request id {request:?}");
         return write_lines(writer, &[encode_error(None, &message)]);
     };

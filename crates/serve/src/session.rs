@@ -105,6 +105,39 @@ pub struct SessionState {
     pub journal: Vec<JournalEntry>,
 }
 
+impl SessionState {
+    /// Moves the session to its post-event world: applying `event`
+    /// evolved the instance and down-windows into `inst` and `windows`,
+    /// and `incumbent`, the `winner` leg's answer, holds. The clock
+    /// moves to the event time and the event is journalled. Live events
+    /// and WAL replay both end here, so a replayed session is the live
+    /// one.
+    pub(crate) fn advance(
+        &mut self,
+        event: Event,
+        inst: JobShopInstance,
+        windows: Vec<DownWindow>,
+        incumbent: Arc<Solution>,
+        winner: &str,
+        deadline_bound: bool,
+    ) {
+        self.events += 1;
+        self.now = event.at();
+        self.journal.push(JournalEntry {
+            seq: self.events,
+            event,
+            winner: winner.to_string(),
+            value: incumbent.value,
+            makespan: incumbent.makespan,
+            deadline_bound,
+        });
+        self.inst = inst;
+        self.windows = windows;
+        self.incumbent = incumbent;
+        self.deadline_bound = deadline_bound;
+    }
+}
+
 /// One line of a session's event journal: the disruption plus the
 /// summary of the answer it got (the full winning schedule lives in
 /// the incumbent / the WAL, not here).
@@ -244,17 +277,18 @@ impl SessionRegistry {
         }
     }
 
-    /// Registers a fresh session and returns its id (`sess-<n>`).
-    /// `ttl_ms` 0 means the registry default; the configured maximum
-    /// clamps it either way. At capacity the least-recently-used
-    /// session is evicted.
-    pub fn open(&self, state: SessionState, ttl_ms: u64) -> String {
+    /// Registers a fresh session and returns its id (`sess-<n>`) with
+    /// the entry it inserted, which stays usable even if the session
+    /// is evicted or expires right away. `ttl_ms` 0 means the registry
+    /// default; the configured maximum clamps it either way. At
+    /// capacity the least-recently-used session is evicted.
+    pub fn open(&self, state: SessionState, ttl_ms: u64) -> (String, Arc<Mutex<SessionState>>) {
         let id = format!("sess-{}", self.next_id.fetch_add(1, Ordering::Relaxed) + 1);
         let mut slots = self.slots.lock().expect("session registry poisoned");
         self.sweep(&mut slots);
-        self.insert(&mut slots, id.clone(), state, ttl_ms);
+        let entry = self.insert(&mut slots, id.clone(), state, ttl_ms);
         self.counters.opened.fetch_add(1, Ordering::Relaxed);
-        id
+        (id, entry)
     }
 
     /// Re-registers a session rebuilt from its write-ahead log under
@@ -476,7 +510,7 @@ pub(crate) fn handle_event_hooked(
         skip = Some(ResolveSkip::Busy);
     }
 
-    let mut resolve: Option<(f64, Schedule, String, u64, bool)> = None;
+    let mut resolve: Option<(f64, Schedule, &'static str, u64, bool)> = None;
     if skip.is_none() {
         let codec = SuffixCodec::new(inst.clone(), frozen, suffix, windows.clone(), t);
         let plan = RacePlan {
@@ -508,7 +542,7 @@ pub(crate) fn handle_event_hooked(
                 start,
                 vec![
                     ("value".to_string(), value.into()),
-                    ("winner".to_string(), outcome.winner.as_str().into()),
+                    ("winner".to_string(), outcome.winner.name().into()),
                     ("generations".to_string(), generations.into()),
                 ],
             );
@@ -518,7 +552,7 @@ pub(crate) fn handle_event_hooked(
                 resolve = Some((
                     value,
                     schedule,
-                    outcome.winner,
+                    outcome.winner.name(),
                     generations,
                     outcome.deadline_bound,
                 ))
@@ -560,20 +594,14 @@ pub(crate) fn handle_event_hooked(
         model,
         schedule: schedule.ops,
     });
-    state.inst = inst;
-    state.windows = windows;
-    state.now = t;
-    state.incumbent = Arc::clone(&solution);
-    state.deadline_bound = deadline_bound;
-    state.events += 1;
-    state.journal.push(JournalEntry {
-        seq: state.events,
-        event: event.clone(),
-        winner: winner.to_string(),
-        value,
-        makespan: solution.makespan,
+    state.advance(
+        event.clone(),
+        inst,
+        windows,
+        Arc::clone(&solution),
+        winner,
         deadline_bound,
-    });
+    );
     Ok(EventOutcome {
         winner,
         repair_value,
@@ -707,7 +735,7 @@ mod tests {
     fn registry_opens_touches_and_closes() {
         let reg = SessionRegistry::new(cfg());
         assert!(reg.is_empty());
-        let id = reg.open(open_state(1), 0);
+        let id = reg.open(open_state(1), 0).0;
         assert_eq!(id, "sess-1");
         assert_eq!(reg.len(), 1);
         assert!(reg.get(&id).is_some());
@@ -733,7 +761,7 @@ mod tests {
         assert!(Arc::ptr_eq(&entry, &same));
         assert_eq!(reg.gauges().recovered, 1);
         // The minter was bumped past the recovered id.
-        let fresh = reg.open(open_state(3), 0);
+        let fresh = reg.open(open_state(3), 0).0;
         assert_eq!(fresh, "sess-8");
     }
 
@@ -746,9 +774,9 @@ mod tests {
         // Solve both incumbents *before* opening: the portfolio race
         // takes longer than the tiny TTL under test.
         let (a, b) = (open_state(1), open_state(2));
-        let id = reg.open(a, 0);
+        let id = reg.open(a, 0).0;
         // A generous per-request TTL is clamped to max_ttl, not default.
-        let long = reg.open(b, 3_600_000);
+        let long = reg.open(b, 3_600_000).0;
         assert_eq!(reg.len(), 2);
         std::thread::sleep(Duration::from_millis(150));
         assert!(reg.get(&id).is_none(), "idle session must expire");
@@ -764,11 +792,11 @@ mod tests {
             max_sessions: 2,
             ..cfg()
         });
-        let a = reg.open(open_state(1), 0);
-        let b = reg.open(open_state(2), 0);
+        let a = reg.open(open_state(1), 0).0;
+        let b = reg.open(open_state(2), 0).0;
         // Touch a so b becomes the LRU.
         assert!(reg.get(&a).is_some());
-        let c = reg.open(open_state(3), 0);
+        let c = reg.open(open_state(3), 0).0;
         assert_eq!(reg.len(), 2);
         assert!(reg.get(&b).is_none(), "LRU session must be evicted");
         assert!(reg.get(&a).is_some());
@@ -782,8 +810,8 @@ mod tests {
             max_sessions: 2,
             ..cfg()
         });
-        let a = reg.open(open_state(1), 0);
-        let b = reg.open(open_state(2), 0);
+        let a = reg.open(open_state(1), 0).0;
+        let b = reg.open(open_state(2), 0).0;
         // Touch a so b becomes the LRU.
         assert!(reg.get(&a).is_some());
         let (_, inserted) = reg.restore("sess-9", open_state(3), 0);

@@ -110,6 +110,8 @@ pub(crate) fn objective_of(
 pub struct SolveOutcome {
     /// The best validated-decodable solution of the race.
     pub solution: Solution,
+    /// The member that found it (`solution.model` is its name).
+    pub winner: ModelKind,
     /// Per-member structural telemetry, in lineup order (members the
     /// pool cancelled before they started are absent).
     pub models: Vec<(String, RunTelemetry)>,
@@ -445,9 +447,10 @@ fn finish<C: FamilyCodec>(inst: &LoadedInstance, codec: C, plan: RacePlan<'_>) -
             objective,
             value: objective_of(inst.problem(), &schedule, objective),
             makespan: schedule.makespan(),
-            model: outcome.winner,
+            model: outcome.winner.name().to_string(),
             schedule: schedule.ops,
         },
+        winner: outcome.winner,
         models: outcome.models,
         deadline_bound: outcome.deadline_bound,
         pool_wait: outcome.pool_wait,

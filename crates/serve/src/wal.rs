@@ -48,7 +48,7 @@ use shop::instance::hash::Fnv1a;
 use shop::instance::parse::{parse_job_shop_ragged, write_job_shop_ragged};
 use shop::instance::JobMeta;
 use shop::schedule::Schedule;
-use shop::{Problem, Time};
+use shop::Problem;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -182,7 +182,9 @@ fn meta_from_json(v: &Json) -> Result<JobMeta, String> {
     Ok(meta)
 }
 
-fn windows_to_json(windows: &[DownWindow]) -> Json {
+/// Down-windows as `[machine, from, until]` rows: the WAL's encoding
+/// and the `session_get` wire field.
+pub(crate) fn windows_to_json(windows: &[DownWindow]) -> Json {
     Json::Arr(
         windows
             .iter()
@@ -217,7 +219,9 @@ fn windows_from_json(v: &Json) -> Result<Vec<DownWindow>, String> {
         .map_err(str::to_string)
 }
 
-fn journal_entry_to_json(e: &JournalEntry) -> Json {
+/// One journal row: the WAL snapshot's encoding and a `session_events`
+/// log row.
+pub(crate) fn journal_entry_to_json(e: &JournalEntry) -> Json {
     obj([
         ("seq", e.seq.into()),
         ("event", event_to_json(&e.event)),
@@ -519,7 +523,7 @@ fn replay_event(state: &mut SessionState, payload: &str) -> Result<(), String> {
     }
     let event = event_from_json(v.get("event").ok_or("event record needs an event")?)
         .map_err(|e| format!("bad event body: {e}"))?;
-    let t: Time = event.at();
+    let t = event.at();
     if t < state.now {
         return Err(format!(
             "event at {t} is behind the replayed clock {}",
@@ -529,8 +533,7 @@ fn replay_event(state: &mut SessionState, payload: &str) -> Result<(), String> {
     let winner = v
         .get("winner")
         .and_then(Json::as_str)
-        .ok_or("event record needs a winner")?
-        .to_string();
+        .ok_or("event record needs a winner")?;
     let (incumbent, deadline_bound) = incumbent_from_record(&v, state.objective)?;
     // Re-derive the world exactly as the live path did: apply_event
     // evolves (instance, windows) deterministically; the logged winner
@@ -542,20 +545,7 @@ fn replay_event(state: &mut SessionState, payload: &str) -> Result<(), String> {
     Schedule::new(incumbent.schedule.clone())
         .validate_job(&inst)
         .map_err(|e| format!("logged incumbent is infeasible: {e}"))?;
-    state.journal.push(JournalEntry {
-        seq,
-        event,
-        winner,
-        value: incumbent.value,
-        makespan: incumbent.makespan,
-        deadline_bound,
-    });
-    state.inst = inst;
-    state.windows = windows;
-    state.now = t;
-    state.incumbent = incumbent;
-    state.deadline_bound = deadline_bound;
-    state.events = seq;
+    state.advance(event, inst, windows, incumbent, winner, deadline_bound);
     Ok(())
 }
 

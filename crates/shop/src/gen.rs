@@ -54,6 +54,10 @@ pub enum Family {
 }
 
 impl Family {
+    /// Every family in declaration order, so `ALL[f as usize] == f`:
+    /// per-family tables index by `f as usize`.
+    pub const ALL: [Family; 4] = [Family::Flow, Family::Job, Family::Open, Family::Flexible];
+
     /// Canonical lowercase tag (`flow` | `job` | `open` | `flexible`).
     pub fn name(&self) -> &'static str {
         match self {
@@ -460,13 +464,16 @@ pub struct Generated {
 mod tests {
     use super::*;
 
-    fn all_families() -> [Family; 4] {
-        [Family::Flow, Family::Job, Family::Open, Family::Flexible]
+    #[test]
+    fn all_lists_families_by_discriminant() {
+        for (i, family) in Family::ALL.into_iter().enumerate() {
+            assert_eq!(family as usize, i);
+        }
     }
 
     #[test]
     fn build_is_deterministic_per_family() {
-        for family in all_families() {
+        for family in Family::ALL {
             let spec = GenSpec::new(family, 6, 4, 11);
             let a = spec.build().unwrap();
             let b = spec.build().unwrap();
@@ -481,7 +488,7 @@ mod tests {
 
     #[test]
     fn text_roundtrip_preserves_hash() {
-        for family in all_families() {
+        for family in Family::ALL {
             let gen = GenSpec::new(family, 5, 3, 7).build().unwrap();
             let back = AnyInstance::parse(family, &gen.instance.text()).unwrap();
             assert_eq!(gen.instance, back, "{family:?}");

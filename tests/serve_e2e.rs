@@ -18,6 +18,14 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+/// Current value of a counter or gauge series of the service.
+fn series(service: &Service, name: &str) -> u64 {
+    service
+        .registry()
+        .value(name)
+        .unwrap_or_else(|| panic!("no series {name}"))
+}
+
 fn request_line() -> String {
     encode_request(&SolveRequest {
         id: Some("e2e".into()),
@@ -104,11 +112,22 @@ fn ft06_served_twice_feasible_deterministic_and_cached() {
     let first_v = json::parse(&first).expect("json");
     assert_eq!(first_v.get("cached").and_then(Json::as_bool), Some(false));
 
-    let stats = service.stats();
-    assert_eq!(stats.cache_misses, 1, "first request must miss");
-    assert_eq!(stats.cache_hits, 1, "second request must hit");
-    assert_eq!(stats.solved, 1, "only one portfolio race must have run");
-    assert_eq!(service.cache_len(), 1);
+    assert_eq!(
+        series(&service, "serve_cache_misses_total"),
+        1,
+        "first request must miss"
+    );
+    assert_eq!(
+        series(&service, "serve_cache_hits_total"),
+        1,
+        "second request must hit"
+    );
+    assert_eq!(
+        series(&service, "serve_solved_total"),
+        1,
+        "only one portfolio race must have run"
+    );
+    assert_eq!(series(&service, "serve_cache_len"), 1);
 
     service.shutdown();
 }
@@ -196,7 +215,7 @@ fn batch_of_generated_instances_solves_under_one_deadline() {
         assert!(t.get("solve_ms").and_then(Json::as_u64).is_some());
         assert_eq!(t.get("cache_hit").and_then(Json::as_bool), Some(false));
     }
-    assert_eq!(service.stats().solved, 9);
+    assert_eq!(series(&service, "serve_solved_total"), 9);
 
     // The whole batch replays from the cache: small cap-bound races are
     // budget-independent, so a repeat is answered without re-racing.
@@ -209,7 +228,11 @@ fn batch_of_generated_instances_solves_under_one_deadline() {
             "repeat item {i}"
         );
     }
-    assert_eq!(service.stats().solved, 9, "repeat must not race again");
+    assert_eq!(
+        series(&service, "serve_solved_total"),
+        9,
+        "repeat must not race again"
+    );
     service.shutdown();
 }
 
@@ -244,6 +267,6 @@ fn inline_instance_hits_the_same_cache_entry_as_the_named_classic() {
         named_v.get("schedule").expect("schedule").encode(),
         inline_v.get("schedule").expect("schedule").encode()
     );
-    assert_eq!(service.stats().cache_hits, 1);
+    assert_eq!(series(&service, "serve_cache_hits_total"), 1);
     service.shutdown();
 }

@@ -17,6 +17,14 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+/// Current value of a counter or gauge series of the service.
+fn series(service: &Service, name: &str) -> u64 {
+    service
+        .registry()
+        .value(name)
+        .unwrap_or_else(|| panic!("no series {name}"))
+}
+
 fn connect(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
     let stream = TcpStream::connect(addr).expect("connect");
     stream
@@ -127,10 +135,13 @@ fn run_session(gen_cap: u64) -> Vec<(f64, String)> {
     );
     assert_eq!(closed.get("closed").unwrap().as_bool(), Some(true));
     assert_eq!(closed.get("events").unwrap().as_u64(), Some(2));
-    assert_eq!(service.session_gauges().open, 0);
-    let stats = service.stats();
-    assert_eq!(stats.session_events, 2);
-    assert_eq!(stats.session_repair_wins + stats.session_resolve_wins, 2);
+    assert_eq!(series(&service, "serve_sessions_open"), 0);
+    assert_eq!(series(&service, "serve_session_events_total"), 2);
+    assert_eq!(
+        series(&service, "serve_session_repair_wins_total")
+            + series(&service, "serve_session_resolve_wins_total"),
+        2
+    );
 
     service.shutdown();
     answers
@@ -197,7 +208,7 @@ fn killed_service_recovers_sessions_bit_identically_from_wal() {
     // Phase 2: a fresh service over the same WAL directory rebuilds
     // the session before accepting connections.
     let service = Service::bind(config()).expect("rebind");
-    assert_eq!(service.session_gauges().recovered, 1);
+    assert_eq!(series(&service, "serve_sessions_recovered"), 1);
     let (mut w, mut r) = connect(service.local_addr());
     let post = roundtrip(
         &mut w,
@@ -214,7 +225,7 @@ fn killed_service_recovers_sessions_bit_identically_from_wal() {
     }
     // open + 2 events replayed; the registry never reissues the
     // recovered id to a new session.
-    assert_eq!(service.stats().wal_replays, 3);
+    assert_eq!(series(&service, "serve_wal_replays_total"), 3);
     let opened2 = roundtrip(
         &mut w,
         &mut r,
